@@ -59,7 +59,6 @@ from .search import (
     enumerate_classes,
     is_3smooth_even,
     pattern_trajectory,
-    register_trajectory,
     run_search,
     rebuild_state,
     seed_record,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -56,8 +55,8 @@ class CheckpointError(Exception):
 # ---------------------------------------------------------------- checkpoint
 
 def _config_echo(config: SearchConfig) -> dict:
-    # Only fields that influence results; threads and paths deliberately
-    # excluded so reruns and resumed runs serialize identically.
+    # Spelled out, not derived from the dataclass, so the checkpoint format
+    # changes only when this function does.
     return {
         "max_modulus": config.max_modulus,
         "filter_3smooth": config.filter_3smooth,
@@ -167,13 +166,11 @@ def _build_config(args) -> SearchConfig:
         join_targets_3smooth=args.join_targets_3smooth,
         step_cap=args.step_cap,
         k_verify=args.k_verify,
-        threads=args.threads,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
     )
 
 
-def _restore(config: SearchConfig, path: str) -> tuple[ResumeState, Checkpoint]:
+def _restore(config: SearchConfig, path: str) -> ResumeState:
+    """Replay the search a checkpoint describes and check that they agree."""
     cp = load_checkpoint(path)
     stored = dict(cp.config)
     current = _config_echo(config)
@@ -185,26 +182,22 @@ def _restore(config: SearchConfig, path: str) -> tuple[ResumeState, Checkpoint]:
                 f"checkpoint was produced with {key}={stored.get(key)!r}, "
                 f"current run has {current[key]!r}"
             )
-    replay_config = dataclasses.replace(
-        config, max_modulus=max(config.max_modulus, cp.frontier_modulus)
-    )
-    registry, ledger = rebuild_state(replay_config, cp.frontier_modulus, cp.records)
-    if registry.digest() != cp.registry_digest:
-        raise CheckpointError("registry replay does not match the stored digest")
-    if ledger.density() != cp.density:
-        raise CheckpointError("coverage replay does not match the stored density")
-    if set(ledger.stored_classes()) != set(cp.ledger_classes):
-        raise CheckpointError("coverage classes do not match the stored ledger")
-    state = ResumeState(
-        frontier_modulus=cp.frontier_modulus,
-        records=cp.records,
-        checkpoints=cp.checkpoints,
-        registry=registry,
-        ledger=ledger,
-        examined=cp.examined,
-        skipped=cp.skipped,
-    )
-    return state, cp
+    state = rebuild_state(config, cp.frontier_modulus, cp.records)
+    comparisons = [
+        ("registry digest", state.registry.digest(), cp.registry_digest),
+        ("density", state.ledger.density(), cp.density),
+        ("coverage classes", set(state.ledger.stored_classes()), set(cp.ledger_classes)),
+        ("frontier", state.frontier_modulus, cp.frontier_modulus),
+        ("density trail", state.checkpoints, cp.checkpoints),
+        ("record patterns", [r.pattern for r in state.records],
+         [r.pattern for r in cp.records]),
+        ("examined count", state.examined, cp.examined),
+        ("skipped count", state.skipped, cp.skipped),
+    ]
+    for what, replayed, saved in comparisons:
+        if replayed != saved:
+            raise CheckpointError(f"the replay's {what} does not match the checkpoint")
+    return state
 
 
 def cmd_search(args) -> int:
@@ -214,7 +207,7 @@ def cmd_search(args) -> int:
         if not args.checkpoint:
             print("--resume needs --checkpoint", file=sys.stderr)
             return EXIT_IO
-        resume_state, _ = _restore(config, args.checkpoint)
+        resume_state = _restore(config, args.checkpoint)
 
     out_fh = None
     writer = None
@@ -336,6 +329,9 @@ def cmd_stoptimes(args) -> int:
     if args.range is not None and args.range < 4:
         print("--range must be >= 4", file=sys.stderr)
         return EXIT_IO
+    if args.step_cap < 1:
+        print("--step-cap must be >= 1", file=sys.stderr)
+        return EXIT_IO
     top = max(max(wanted, default=0), (args.range - 1) if args.range else 0)
     if top < 3:
         print("nothing to do: give --n and/or --range", file=sys.stderr)
@@ -392,8 +388,8 @@ def cmd_verify(args) -> int:
         if cls == PatternClass(2, 0):
             rec = seed_record()
         else:
-            config = SearchConfig(max_modulus=max(cls.modulus, 4))
-            registry, _ = rebuild_state(config, cls.modulus - 2, [])
+            config = SearchConfig(max_modulus=cls.modulus)
+            registry = rebuild_state(config, cls.modulus - 2, []).registry
             rec = check_class(cls, registry)
     if rec is None:
         print(f"no certificate exists for {cls.modulus}k-{cls.remainder} "
@@ -461,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", metavar="PATH", help="results CSV")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("report", help="progress tables from a checkpoint")

@@ -13,15 +13,15 @@ or not it certifies: joins only need a pointwise-smaller earlier anchor,
 which induction over smaller integers covers, so even failed classes are
 legitimate join targets.  Within one modulus all classes are checked
 against the registry as frozen at the start of that modulus, which makes
-results independent of worker count and of ordering within the batch.
+results independent of the order of the classes within the modulus.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -144,11 +144,6 @@ class TrajectoryRegistry:
         return self._digest.copy().hexdigest()
 
 
-def register_trajectory(traj: TrajectoryPattern, registry: TrajectoryRegistry) -> TrajectoryRegistry:
-    registry.register(traj)
-    return registry
-
-
 def is_3smooth_even(m: int) -> bool:
     """True iff m = 2**t * 3**s with t >= 1, s >= 0."""
     if m < 2 or m % 2:
@@ -160,16 +155,24 @@ def is_3smooth_even(m: int) -> bool:
     return m == 1
 
 
+def _batches(
+    max_modulus: int, filter_3smooth: bool, start_after: int = 2
+) -> Iterator[tuple[int, list[PatternClass]]]:
+    """Candidate classes grouped by modulus, in canonical order: moduli
+    ascending from 4 (only those above start_after), remainders descending
+    within a modulus (smallest member values first)."""
+    for modulus in range(4, max_modulus + 1, 2):
+        if modulus <= start_after or (filter_3smooth and not is_3smooth_even(modulus)):
+            continue
+        yield modulus, [PatternClass(modulus, r) for r in range(modulus - 1, 0, -2)]
+
+
 def enumerate_classes(max_modulus: int, filter_3smooth: bool = False) -> Iterator[PatternClass]:
-    """Candidate classes with modulus ascending from 4; within a modulus the
-    remainder descends (smallest member values first)."""
+    """Candidate classes up to max_modulus, one by one in canonical order."""
     if max_modulus < 4:
         raise ValueError(f"max_modulus must be >= 4, got {max_modulus}")
-    for modulus in range(4, max_modulus + 1, 2):
-        if filter_3smooth and not is_3smooth_even(modulus):
-            continue
-        for remainder in range(modulus - 1, 0, -2):
-            yield PatternClass(modulus, remainder)
+    for _, batch in _batches(max_modulus, filter_3smooth):
+        yield from batch
 
 
 def _certify(
@@ -247,17 +250,14 @@ class SearchConfig:
     step_cap: int | None = None
     numeric_step_cap: int = oracle.DEFAULT_STEP_CAP
     k_verify: int = 0
-    threads: int = 1
-    checkpoint_path: str | None = None
-    resume: bool = False
 
     def __post_init__(self) -> None:
         if self.max_modulus < 2 or self.max_modulus % 2:
             raise ValueError(f"max_modulus must be even and >= 2, got {self.max_modulus}")
+        if self.step_cap is not None and self.step_cap < 1:
+            raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
         if self.k_verify < 0:
             raise ValueError(f"k_verify must be >= 0, got {self.k_verify}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 class CertificateError(RuntimeError):
@@ -285,15 +285,22 @@ class BatchResult:
 
 @dataclass
 class ResumeState:
-    """Reconstructed mid-search state, as rebuilt from a checkpoint."""
+    """Search state at a modulus boundary, as a search resumes from it.
 
-    frontier_modulus: int
+    The density trail holds one point per processed modulus, so its last
+    point names the frontier.
+    """
+
     records: list[SuccessRecord]
     checkpoints: list[tuple[int, Fraction]]
     registry: TrajectoryRegistry
     ledger: CoverageLedger
     examined: int
     skipped: int
+
+    @property
+    def frontier_modulus(self) -> int:
+        return self.checkpoints[-1][0]
 
 
 @dataclass
@@ -322,17 +329,47 @@ def seed_trajectory() -> TrajectoryPattern:
     return TrajectoryPattern(SEED_CLASS, build_trajectory(SEED_CLASS.anchor_form()))
 
 
-def _batches(
-    max_modulus: int, filter_3smooth: bool, start_after: int
-) -> Iterator[tuple[int, list[PatternClass]]]:
-    if max_modulus < 4:
-        return
-    for modulus in range(4, max_modulus + 1, 2):
-        if modulus <= start_after:
-            continue
-        if filter_3smooth and not is_3smooth_even(modulus):
-            continue
-        yield modulus, [PatternClass(modulus, r) for r in range(modulus - 1, 0, -2)]
+def _seeded_state(ledger: CoverageLedger | None = None) -> ResumeState:
+    """The state before the first modulus: the even-number seed alone."""
+    registry = TrajectoryRegistry()
+    registry.register(seed_trajectory())
+    if ledger is None:
+        ledger = CoverageLedger()
+    ledger.add_class(from_pattern(SEED_CLASS))
+    return ResumeState([seed_record()], [(2, ledger.density())], registry, ledger, 0, 0)
+
+
+def _sweep(
+    config: SearchConfig,
+    state: ResumeState,
+    last_modulus: int,
+    record_for: Callable[[TrajectoryPattern], SuccessRecord | None],
+) -> Iterator[tuple[int, list[SuccessRecord]]]:
+    """Advance `state` modulus by modulus from its frontier to last_modulus,
+    yielding each modulus with the records it added.
+
+    `record_for` gives the record of one checked class, or None.  It is
+    called for every checked class of a modulus before any of them is
+    registered, so it sees the registry frozen at the modulus boundary.
+    """
+    for modulus, batch in _batches(last_modulus, config.filter_3smooth,
+                                   state.frontier_modulus):
+        if config.skip_covered:
+            to_check = [c for c in batch if not state.ledger.covers(from_pattern(c))]
+        else:
+            to_check = batch
+        state.examined += len(batch)
+        state.skipped += len(batch) - len(to_check)
+        trajectories = [pattern_trajectory(cls, config.step_cap) for cls in to_check]
+        found = [record_for(traj) for traj in trajectories]
+        for traj in trajectories:
+            state.registry.register(traj)
+        new_records = [record for record in found if record is not None]
+        for record in new_records:
+            state.ledger.add_class(from_pattern(record.pattern))
+        state.records.extend(new_records)
+        state.checkpoints.append((modulus, state.ledger.density()))
+        yield modulus, new_records
 
 
 def run_search(
@@ -349,94 +386,53 @@ def run_search(
     ledger and are passed to `sink` in canonical (modulus ascending,
     remainder descending) order.  One density checkpoint is recorded per
     processed modulus.  `after_batch` runs once per modulus, after the
-    checkpoint, and is where callers persist state.
+    checkpoint, and is where callers persist state.  A search resumed from
+    `resume` extends its registry and ledger but leaves its record list,
+    trail and counts as they were.
     """
     started = time.perf_counter()
-    emit = sink if sink is not None else (lambda record: None)
 
-    if resume is not None:
-        registry = resume.registry
-        ledger = resume.ledger
-        records = list(resume.records)
-        checkpoints = list(resume.checkpoints)
-        examined, skipped = resume.examined, resume.skipped
-        frontier = resume.frontier_modulus
-    else:
-        registry = TrajectoryRegistry()
-        if ledger is None:
-            ledger = CoverageLedger()
-        records = []
-        checkpoints = []
-        examined = skipped = 0
-        seed = seed_record()
-        registry.register(seed_trajectory())
-        ledger.add_class(from_pattern(SEED_CLASS))
-        records.append(seed)
-        emit(seed)
-        checkpoints.append((2, ledger.density()))
-        frontier = 2
-        if after_batch is not None:
-            after_batch(
-                BatchResult(2, [seed], records, checkpoints, ledger, registry,
-                            examined, skipped)
-            )
-
-    def check_one(cls: PatternClass):
-        traj = pattern_trajectory(cls, config.step_cap)
+    def certify(traj: TrajectoryPattern) -> SuccessRecord | None:
         record = _certify(
-            traj, registry, config.join_targets_3smooth, config.numeric_step_cap
+            traj, state.registry, config.join_targets_3smooth, config.numeric_step_cap
         )
-        return traj, record
+        if record is not None and config.k_verify:
+            report = oracle.verify_success_record(
+                record, config.k_verify, config.numeric_step_cap
+            )
+            if not report.ok:
+                raise CertificateError(record, report)
+        return record
 
-    for modulus, batch in _batches(config.max_modulus, config.filter_3smooth, frontier):
-        if config.skip_covered:
-            to_check = [c for c in batch if not ledger.covers(from_pattern(c))]
-            skipped += len(batch) - len(to_check)
-        else:
-            to_check = batch
-        examined += len(batch)
-
-        if config.threads > 1 and len(to_check) > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(check_one, to_check, chunksize=16))
-        else:
-            results = [check_one(cls) for cls in to_check]
-
-        # Registry grows only here, between batches, keeping checks
-        # reproducible for any worker count.
-        new_records = []
-        for traj, record in results:
-            registry.register(traj)
-        for traj, record in results:
-            if record is None:
-                continue
-            if config.k_verify:
-                report = oracle.verify_success_record(
-                    record, config.k_verify, config.numeric_step_cap
-                )
-                if not report.ok:
-                    raise CertificateError(record, report)
-            ledger.add_class(from_pattern(record.pattern))
-            records.append(record)
-            new_records.append(record)
-            emit(record)
-        checkpoints.append((modulus, ledger.density()))
-        frontier = modulus
+    def publish(modulus: int, new_records: list[SuccessRecord]) -> None:
+        if sink is not None:
+            for record in new_records:
+                sink(record)
         if after_batch is not None:
             after_batch(
-                BatchResult(modulus, new_records, records, checkpoints, ledger,
-                            registry, examined, skipped)
+                BatchResult(modulus, new_records, state.records, state.checkpoints,
+                            state.ledger, state.registry, state.examined, state.skipped)
             )
+
+    if resume is None:
+        state = _seeded_state(ledger)
+        publish(2, list(state.records))
+    else:
+        state = dataclasses.replace(
+            resume, records=list(resume.records), checkpoints=list(resume.checkpoints)
+        )
+    for modulus, new_records in _sweep(config, state, config.max_modulus, certify):
+        publish(modulus, new_records)
 
     return SearchSummary(
         config=config,
-        records=records,
-        checkpoints=checkpoints,
-        final_density=ledger.density(),
-        examined=examined,
-        skipped=skipped,
-        lcm_stored_moduli=ledger.lcm_of_moduli(),
-        lcm_pattern_moduli=ledger.lcm_of_added_moduli(),
+        records=state.records,
+        checkpoints=state.checkpoints,
+        final_density=state.ledger.density(),
+        examined=state.examined,
+        skipped=state.skipped,
+        lcm_stored_moduli=state.ledger.lcm_of_moduli(),
+        lcm_pattern_moduli=state.ledger.lcm_of_added_moduli(),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -445,32 +441,23 @@ def rebuild_state(
     config: SearchConfig,
     frontier_modulus: int,
     records: Sequence[SuccessRecord],
-) -> tuple[TrajectoryRegistry, CoverageLedger]:
-    """Replay registration and coverage up to a frontier without re-checking.
+) -> ResumeState:
+    """Replay a search up to frontier_modulus from its records alone.
 
-    Trajectories are a pure function of the class and the set of certified
-    classes is known, so the registry and ledger at any modulus boundary
-    can be reproduced exactly from the success records alone, including
-    the skip-covered decisions.
+    The replay runs the search's own sweep, but takes each checked class's
+    record from `records` (looked up by pattern) instead of certifying it,
+    and never verifies.  Trajectories are a pure function of the class, so
+    the registry, ledger, density trail and counts come out exactly as the
+    search left them, skip-covered decisions included.  The returned
+    records are the stored ones the replay reached, in canonical order;
+    stored records it never reached are left out.
     """
-    registry = TrajectoryRegistry()
-    ledger = CoverageLedger()
-    registry.register(seed_trajectory())
-    ledger.add_class(from_pattern(SEED_CLASS))
-    certified = {rec.pattern for rec in records}
-    for modulus, batch in _batches(config.max_modulus, config.filter_3smooth, 2):
-        if modulus > frontier_modulus:
-            break
-        if config.skip_covered:
-            to_register = [c for c in batch if not ledger.covers(from_pattern(c))]
-        else:
-            to_register = batch
-        for cls in to_register:
-            registry.register(pattern_trajectory(cls, config.step_cap))
-        for cls in batch:
-            if cls in certified:
-                ledger.add_class(from_pattern(cls))
-    return registry, ledger
+    state = _seeded_state()
+    stored = {record.pattern: record for record in records}
+    for _ in _sweep(config, state, frontier_modulus,
+                    lambda traj: stored.get(traj.anchor_class)):
+        pass
+    return state
 
 
 @dataclass(frozen=True)

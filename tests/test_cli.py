@@ -1,4 +1,7 @@
 import filecmp
+import json
+
+import pytest
 
 from collatz_sieve.cli import (
     load_checkpoint,
@@ -101,6 +104,40 @@ def test_resume_rejects_config_mismatch(tmp_path, capsys):
                    "--resume", "--skip-covered") == 2
 
 
+def _set_examined(doc):
+    doc["examined"] = 999999
+
+
+def _bump_skipped(doc):
+    doc["skipped"] += 1
+
+
+def _set_trail_entry(doc):
+    doc["checkpoints"][1][1] = "1/3"
+
+
+def _append_record(doc):
+    doc["success_records"].append([10, 9, 2, None, None, None])
+
+
+@pytest.mark.parametrize("flags, tamper, what", [
+    ([], _set_examined, "examined count"),
+    (["--skip-covered"], _bump_skipped, "skipped count"),
+    ([], _set_trail_entry, "density trail"),
+    # modulus 10 is not 2^t*3^s, so this run never examines 10k-9
+    (["--filter-3smooth", "on"], _append_record, "record patterns"),
+], ids=["examined", "skipped", "density-trail", "record"])
+def test_resume_rejects_what_the_replay_contradicts(tmp_path, capsys, flags, tamper, what):
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp, *flags) == 0
+    doc = json.loads(cp.read_text())
+    tamper(doc)
+    cp.write_text(json.dumps(doc))
+    assert run_cli("search", "--max-modulus", 48, "--checkpoint", cp,
+                   "--resume", *flags) == 2
+    assert f"the replay's {what} does not match" in capsys.readouterr().err
+
+
 def test_resume_requires_checkpoint_flag(capsys):
     assert run_cli("search", "--max-modulus", 16, "--resume") == 2
 
@@ -108,6 +145,9 @@ def test_resume_requires_checkpoint_flag(capsys):
 def test_search_rejects_odd_max_modulus(capsys):
     assert run_cli("search", "--max-modulus", 7) == 2
     assert "invalid configuration" in capsys.readouterr().err
+    for cap in (0, -5):
+        assert run_cli("search", "--max-modulus", 8, "--step-cap", cap) == 2
+        assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_missing_and_corrupt_checkpoints(tmp_path):
@@ -118,8 +158,6 @@ def test_missing_and_corrupt_checkpoints(tmp_path):
 
 
 def test_report_on_empty_checkpoint(tmp_path, capsys):
-    import json
-
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({
         "format_version": 1, "config": {}, "frontier_modulus": 0,
@@ -184,6 +222,7 @@ def test_stoptimes_memory_guard(capsys):
 
 def test_stoptimes_needs_work(capsys):
     assert run_cli("stoptimes") == 2
+    assert run_cli("stoptimes", "--n", 27, "--step-cap", 0) == 2
 
 
 def test_coverage_summary(tmp_path, capsys):
@@ -195,10 +234,3 @@ def test_coverage_summary(tmp_path, capsys):
     assert "density 5/6 = 83.33333%" in text
     assert "lcm of stored moduli: 12" in text
     assert "11 mod 12" in text
-
-
-def test_threads_flag_gives_same_output(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli("search", "--max-modulus", 48, "--out", a)
-    run_cli("search", "--max-modulus", 48, "--out", b, "--threads", 4)
-    assert filecmp.cmp(a, b, shallow=False)
