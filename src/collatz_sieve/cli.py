@@ -28,6 +28,7 @@ from .search import (
     CertificateError,
     CertKind,
     PatternClass,
+    ReplayError,
     ResumeState,
     SearchConfig,
     SuccessRecord,
@@ -141,7 +142,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(
                 f"unsupported checkpoint version {doc['format_version']}"
             )
-        return Checkpoint(
+        cp = Checkpoint(
             config=doc["config"],
             frontier_modulus=doc["frontier_modulus"],
             examined=doc["examined"],
@@ -154,6 +155,23 @@ def load_checkpoint(path: str) -> Checkpoint:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} is malformed: {exc}")
+    _check_trail(path, cp)
+    return cp
+
+
+def _check_trail(path: str, cp: Checkpoint) -> None:
+    """A density trail has strictly increasing moduli and non-decreasing
+    densities in [0, 1], and ends at the frontier with the stored density."""
+    trail = cp.checkpoints
+    moduli = [m for m, _ in trail]
+    densities = [d for _, d in trail]
+    ok = (
+        all(a < b for a, b in zip(moduli, moduli[1:]))
+        and all(0 <= a <= b <= 1 for a, b in zip([Fraction(0)] + densities, densities))
+        and (not trail or trail[-1] == (cp.frontier_modulus, cp.density))
+    )
+    if not ok:
+        raise CheckpointError(f"checkpoint {path} has an impossible density trail")
 
 
 # -------------------------------------------------------------------- search
@@ -182,7 +200,10 @@ def _restore(config: SearchConfig, path: str) -> ResumeState:
                 f"checkpoint was produced with {key}={stored.get(key)!r}, "
                 f"current run has {current[key]!r}"
             )
-    state = rebuild_state(config, cp.frontier_modulus, cp.records)
+    try:
+        state = rebuild_state(config, cp.frontier_modulus, cp.records)
+    except ReplayError as exc:
+        raise CheckpointError(str(exc)) from None
     comparisons = [
         ("registry digest", state.registry.digest(), cp.registry_digest),
         ("density", state.ledger.density(), cp.density),

@@ -4,7 +4,10 @@ The set of integers covered so far is kept as a union of pairwise
 disjoint residue classes, so its natural density is simply the sum of
 1/modulus over the stored classes, as an exact rational.  This sidesteps
 materializing residues modulo the running LCM, which quickly becomes
-astronomically large, while staying exact.
+astronomically large, while staying exact.  The uncovered rest is kept
+the same way, as disjoint survivor classes, so the open classes of a
+modulus are read off the survivors instead of being proved covered one
+by one.
 
 A residue class here uses value semantics: the pattern b*k - c covers the
 integers congruent to -c (mod b).
@@ -51,6 +54,30 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
+def _meets(a: ResidueClass, b: ResidueClass) -> bool:
+    g = math.gcd(a.modulus, b.modulus)
+    return a.residue % g == b.residue % g
+
+
+def _meeting(residues: set[int], modulus: int, m: int, rho: int) -> list[int]:
+    """The residues in `residues` (all mod `modulus`) whose class meets rho mod m.
+
+    Two classes meet iff their residues agree mod the gcd of the moduli, so
+    this tries whichever is fewer: the stored residues or the candidates.
+    """
+    g = math.gcd(modulus, m)
+    rho_g = rho % g
+    if modulus // g <= len(residues):
+        return [x for x in range(rho_g, modulus, g) if x in residues]
+    return [x for x in residues if x % g == rho_g]
+
+
+def _sorted_classes(by_modulus: dict[int, set[int]]) -> tuple[ResidueClass, ...]:
+    return tuple(sorted(
+        ResidueClass(m, r) for m, residues in by_modulus.items() for r in residues
+    ))
+
+
 class CoverageLedger:
     """Disjoint union of residue classes with an exact running density.
 
@@ -58,10 +85,16 @@ class CoverageLedger:
     already covered: the incoming class is recursively refined against
     the stored classes until each fragment is either contained in one of
     them (contributing nothing) or disjoint from all (stored as is).
+
+    Beside the covered classes the ledger keeps the survivors: the
+    uncovered integers, also as disjoint residue classes.  They answer
+    which classes of a modulus are still open without touching the
+    covered classes.
     """
 
     def __init__(self) -> None:
         self._by_modulus: dict[int, set[int]] = {}
+        self._survivors: dict[int, set[int]] = {1: {0}}
         self._density = Fraction(0)
         self._added_moduli_lcm = 1
 
@@ -69,13 +102,11 @@ class CoverageLedger:
         return sum(len(s) for s in self._by_modulus.values())
 
     def stored_classes(self) -> tuple[ResidueClass, ...]:
-        out = [
-            ResidueClass(m, r)
-            for m, residues in self._by_modulus.items()
-            for r in residues
-        ]
-        out.sort()
-        return tuple(out)
+        return _sorted_classes(self._by_modulus)
+
+    def survivors(self) -> tuple[ResidueClass, ...]:
+        """The uncovered integers as disjoint residue classes, sorted."""
+        return _sorted_classes(self._survivors)
 
     def density(self) -> Fraction:
         return self._density
@@ -95,59 +126,89 @@ class CoverageLedger:
         """LCM of the moduli of every class ever passed to add_class."""
         return self._added_moduli_lcm
 
-    # r is contained in a stored class iff some stored modulus divides
-    # r.modulus with matching residue; it overlaps a stored class mod m'
-    # iff the residues agree mod gcd.  For m' dividing m those two cases
-    # coincide, so genuine overlap forces a split by a prime of m'/gcd.
-    def _probe(self, r: ResidueClass) -> tuple[str, int]:
+    # `met` holds the stored classes that meet r.  A stored class mod m2
+    # dividing r.modulus that meets r contains it; any other forces a split
+    # by a prime of m2/gcd, the smallest such prime being taken.  Fragments
+    # of r meet only stored classes that meet r, and the fragments stored
+    # on the way are disjoint from their siblings, so each child is refined
+    # against the part of `met` it meets.
+    def _add(self, r: ResidueClass, met: list[ResidueClass]) -> Fraction:
         m, rho = r
         split_prime = 0
-        for m2, residues in self._by_modulus.items():
-            g = math.gcd(m, m2)
-            if m2 == g:  # m2 divides m: containment or disjoint
-                if rho % m2 in residues:
-                    return "inside", 0
-                continue
-            rho_g = rho % g
-            if any(r2 % g == rho_g for r2 in residues):
-                p = _smallest_prime_factor(m2 // g)
-                if split_prime == 0 or p < split_prime:
-                    split_prime = p
-        if split_prime:
-            return "split", split_prime
-        return "disjoint", 0
+        for m2, _ in met:
+            if m % m2 == 0:
+                return Fraction(0)
+            p = _smallest_prime_factor(m2 // math.gcd(m, m2))
+            if split_prime == 0 or p < split_prime:
+                split_prime = p
+        if not split_prime:
+            self._by_modulus.setdefault(m, set()).add(rho)
+            return Fraction(1, m)
+        gain = Fraction(0)
+        for j in range(split_prime):
+            child = ResidueClass(m * split_prime, rho + j * m)
+            gain += self._add(child, [c for c in met if _meets(child, c)])
+        return gain
 
-    def _add(self, r: ResidueClass) -> Fraction:
-        outcome, p = self._probe(r)
-        if outcome == "inside":
-            return Fraction(0)
-        if outcome == "disjoint":
-            self._by_modulus.setdefault(r.modulus, set()).add(r.residue)
-            return Fraction(1, r.modulus)
+    def _subtract(self, r: ResidueClass) -> None:
+        """Remove r from the survivors, refining each survivor that meets r
+        one prime at a time and keeping the pieces that miss r."""
         m, rho = r
-        return sum(
-            (self._add(ResidueClass(m * p, rho + j * m)) for j in range(p)),
-            Fraction(0),
-        )
+        hits = [
+            (modulus, s)
+            for modulus, residues in self._survivors.items()
+            for s in _meeting(residues, modulus, m, rho)
+        ]
+        for modulus, s in hits:
+            self._survivors[modulus].discard(s)
+            while modulus % m:  # s is not inside r yet
+                p = _smallest_prime_factor(m // math.gcd(modulus, m))
+                finer = modulus * p
+                g = math.gcd(finer, m)
+                pieces = [s + j * modulus for j in range(p)]
+                s = next(x for x in pieces if x % g == rho % g)
+                self._survivors.setdefault(finer, set()).update(
+                    x for x in pieces if x != s
+                )
+                modulus = finer
+        for modulus in [k for k, v in self._survivors.items() if not v]:
+            del self._survivors[modulus]
 
     def add_class(self, r: ResidueClass) -> Fraction:
         """Cover the members of r; returns the exact density gain."""
         r = residue_class(*r)
-        self._added_moduli_lcm = math.lcm(self._added_moduli_lcm, r.modulus)
-        gain = self._add(r)
-        self._density += gain
+        m, rho = r
+        self._added_moduli_lcm = math.lcm(self._added_moduli_lcm, m)
+        met = []
+        for m2, residues in self._by_modulus.items():
+            if m % m2 == 0:
+                if rho % m2 in residues:  # r lies inside a stored class
+                    return Fraction(0)
+            else:
+                met.extend(ResidueClass(m2, x) for x in _meeting(residues, m2, m, rho))
+        gain = self._add(r, met)
+        if gain:
+            self._density += gain
+            self._subtract(r)
         return gain
 
     def covers(self, r: ResidueClass) -> bool:
         """True iff every member of r is already covered (read-only)."""
-        r = residue_class(*r)
-        outcome, p = self._probe(r)
-        if outcome == "inside":
-            return True
-        if outcome == "disjoint":
-            return False
-        m, rho = r
-        return all(self.covers(ResidueClass(m * p, rho + j * m)) for j in range(p))
+        m, rho = residue_class(*r)
+        return not any(
+            _meeting(residues, modulus, m, rho)
+            for modulus, residues in self._survivors.items()
+        )
+
+    def open_residues(self, modulus: int) -> list[int]:
+        """Residues mod `modulus`, ascending, whose class is not yet fully
+        covered, i.e. meets a survivor."""
+        out: set[int] = set()
+        for m, residues in self._survivors.items():
+            g = math.gcd(m, modulus)
+            for base in {s % g for s in residues}:
+                out.update(range(base, modulus, g))
+        return sorted(out)
 
     @classmethod
     def from_classes(cls, classes: Iterable[ResidueClass]) -> "CoverageLedger":

@@ -155,24 +155,26 @@ def is_3smooth_even(m: int) -> bool:
     return m == 1
 
 
-def _batches(
-    max_modulus: int, filter_3smooth: bool, start_after: int = 2
-) -> Iterator[tuple[int, list[PatternClass]]]:
-    """Candidate classes grouped by modulus, in canonical order: moduli
-    ascending from 4 (only those above start_after), remainders descending
-    within a modulus (smallest member values first)."""
+def _moduli(max_modulus: int, filter_3smooth: bool, start_after: int = 2) -> Iterator[int]:
+    """Candidate moduli in canonical order: ascending from 4, only those
+    above start_after."""
     for modulus in range(4, max_modulus + 1, 2):
-        if modulus <= start_after or (filter_3smooth and not is_3smooth_even(modulus)):
-            continue
-        yield modulus, [PatternClass(modulus, r) for r in range(modulus - 1, 0, -2)]
+        if modulus > start_after and (not filter_3smooth or is_3smooth_even(modulus)):
+            yield modulus
+
+
+def _classes_of(modulus: int) -> list[PatternClass]:
+    """The classes of one modulus in canonical order: remainders descending
+    (smallest member values first)."""
+    return [PatternClass(modulus, r) for r in range(modulus - 1, 0, -2)]
 
 
 def enumerate_classes(max_modulus: int, filter_3smooth: bool = False) -> Iterator[PatternClass]:
     """Candidate classes up to max_modulus, one by one in canonical order."""
     if max_modulus < 4:
         raise ValueError(f"max_modulus must be >= 4, got {max_modulus}")
-    for _, batch in _batches(max_modulus, filter_3smooth):
-        yield from batch
+    for modulus in _moduli(max_modulus, filter_3smooth):
+        yield from _classes_of(modulus)
 
 
 def _certify(
@@ -205,18 +207,56 @@ def _certify(
 
     for index, element in enumerate(traj.elements, start=1):
         for prior_cls, prior_index in registry.lookup(element):
-            if join_targets_3smooth and not is_3smooth_even(prior_cls.modulus):
-                continue
-            prior_anchor = prior_cls.anchor_form()
-            if not strictly_below(prior_anchor, anchor, 2):
-                continue
-            prior_first = evaluate(prior_anchor, 1)
-            if prior_first > first_member:
-                continue
-            if prior_first == first_member and not member_one_verified():
-                continue
-            return SuccessRecord(cls, CertKind.JOIN, index, prior_cls, prior_index)
+            if _join_target_ok(prior_cls, anchor, first_member, join_targets_3smooth,
+                               member_one_verified):
+                return SuccessRecord(cls, CertKind.JOIN, index, prior_cls, prior_index)
     return None
+
+
+def _join_target_ok(
+    prior_cls: PatternClass,
+    anchor: AffineForm,
+    first_member: int,
+    join_targets_3smooth: bool,
+    member_one_verified: Callable[[], bool],
+) -> bool:
+    """Whether a registered class may serve as join target for the class
+    with this anchor: its anchor is pointwise below from k=2, and at k=1 it
+    is smaller, or equal with the k=1 member settled numerically."""
+    if join_targets_3smooth and not is_3smooth_even(prior_cls.modulus):
+        return False
+    prior_anchor = prior_cls.anchor_form()
+    if not strictly_below(prior_anchor, anchor, 2):
+        return False
+    prior_first = evaluate(prior_anchor, 1)
+    return prior_first < first_member or (
+        prior_first == first_member and member_one_verified()
+    )
+
+
+def _certificate_holds(
+    record: SuccessRecord,
+    traj: TrajectoryPattern,
+    registry: TrajectoryRegistry,
+    config: "SearchConfig",
+) -> bool:
+    """Check a stored record against its class's trajectory and the registry
+    frozen at its modulus, under the conditions `_certify` applies."""
+    if record.stop_index > len(traj.elements):
+        return False
+    anchor = traj.elements[0]
+    element = traj.elements[record.stop_index - 1]
+    if record.kind is CertKind.DROP:
+        return strictly_below(element, anchor, 2)
+    assert record.joined_class is not None
+    if (record.joined_class, record.join_index) not in registry.lookup(element):
+        return False
+    first_member = evaluate(anchor, 1)
+    return _join_target_ok(
+        record.joined_class, anchor, first_member, config.join_targets_3smooth,
+        lambda: oracle.drops_below_self_or_reaches_one(first_member,
+                                                       config.numeric_step_cap),
+    )
 
 
 def check_class(
@@ -267,6 +307,10 @@ class CertificateError(RuntimeError):
         super().__init__(f"certificate {record} failed verification: {report.detail}")
         self.record = record
         self.report = report
+
+
+class ReplayError(ValueError):
+    """A stored record's certificate does not hold in the replay."""
 
 
 @dataclass
@@ -352,14 +396,16 @@ def _sweep(
     called for every checked class of a modulus before any of them is
     registered, so it sees the registry frozen at the modulus boundary.
     """
-    for modulus, batch in _batches(last_modulus, config.filter_3smooth,
-                                   state.frontier_modulus):
+    for modulus in _moduli(last_modulus, config.filter_3smooth, state.frontier_modulus):
         if config.skip_covered:
-            to_check = [c for c in batch if not state.ledger.covers(from_pattern(c))]
+            # Ascending open residues x are descending remainders b - x; they
+            # are odd, because the seed covers the even numbers.
+            to_check = [PatternClass(modulus, modulus - x)
+                        for x in state.ledger.open_residues(modulus)]
         else:
-            to_check = batch
-        state.examined += len(batch)
-        state.skipped += len(batch) - len(to_check)
+            to_check = _classes_of(modulus)
+        state.examined += modulus // 2
+        state.skipped += modulus // 2 - len(to_check)
         trajectories = [pattern_trajectory(cls, config.step_cap) for cls in to_check]
         found = [record_for(traj) for traj in trajectories]
         for traj in trajectories:
@@ -446,16 +492,26 @@ def rebuild_state(
 
     The replay runs the search's own sweep, but takes each checked class's
     record from `records` (looked up by pattern) instead of certifying it,
-    and never verifies.  Trajectories are a pure function of the class, so
-    the registry, ledger, density trail and counts come out exactly as the
-    search left them, skip-covered decisions included.  The returned
-    records are the stored ones the replay reached, in canonical order;
-    stored records it never reached are left out.
+    and never runs the `k_verify` brute force.  Each record it takes must
+    still hold against its class's trajectory and the registry frozen at
+    its modulus, or ReplayError is raised.  Trajectories are a pure function
+    of the class, so the registry, ledger, density trail and counts come out
+    exactly as the search left them, skip-covered decisions included.  The
+    returned records are the stored ones the replay reached, in canonical
+    order; stored records it never reached are left out.
     """
     state = _seeded_state()
     stored = {record.pattern: record for record in records}
-    for _ in _sweep(config, state, frontier_modulus,
-                    lambda traj: stored.get(traj.anchor_class)):
+
+    def replayed(traj: TrajectoryPattern) -> SuccessRecord | None:
+        record = stored.get(traj.anchor_class)
+        if record is not None and not _certificate_holds(record, traj, state.registry,
+                                                         config):
+            b, c = record.pattern
+            raise ReplayError(f"the stored certificate of {b}k-{c} does not hold")
+        return record
+
+    for _ in _sweep(config, state, frontier_modulus, replayed):
         pass
     return state
 

@@ -431,7 +431,10 @@ def test_criterion_8_ledger_oracle_equivalence():
         classes = _random_scenario(rng)
         ledger = CoverageLedger.from_classes(classes)
         L = math.lcm(*(m for m, _ in classes))
-        if not (L <= 10**6 and ledger.density() == brute_force_density(classes, L)):
+        survivor_density = sum((Fraction(1, m) for m, _ in ledger.survivors()),
+                               Fraction(0))
+        if not (L <= 10**6 and ledger.density() == brute_force_density(classes, L)
+                and 1 - survivor_density == ledger.density()):
             exact_ok = False
             break
         if i < 50:
@@ -443,8 +446,8 @@ def test_criterion_8_ledger_oracle_equivalence():
     elapsed = time.perf_counter() - t0
     _report(8, exact_ok and perm_ok,
             f"200 random ledgers (lcm <= 10^6) match the residue-marking "
-            f"oracle exactly={exact_ok}; density invariant under add order "
-            f"on 50 scenarios={perm_ok} ({elapsed:.0f}s)")
+            f"oracle exactly, survivor density included={exact_ok}; density "
+            f"invariant under add order on 50 scenarios={perm_ok} ({elapsed:.0f}s)")
 
 
 # --------------------------------------------------------------- criterion 9

@@ -113,7 +113,9 @@ def _bump_skipped(doc):
 
 
 def _set_trail_entry(doc):
-    doc["checkpoints"][1][1] = "1/3"
+    # 3/4 at modulus 4 becomes 4/5: still between its neighbours 1/2 and
+    # 5/6, so only the replay can tell it is wrong
+    doc["checkpoints"][1][1] = "4/5"
 
 
 def _append_record(doc):
@@ -136,6 +138,36 @@ def test_resume_rejects_what_the_replay_contradicts(tmp_path, capsys, flags, tam
     assert run_cli("search", "--max-modulus", 48, "--checkpoint", cp,
                    "--resume", *flags) == 2
     assert f"the replay's {what} does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, bogus", [
+    ([6, 1, 1, 4, 1, 3], [6, 1, 2, 4, 1, 3]),  # 6k-1 does not meet 4k-1 there
+    ([4, 3, 4, None, None, None], [4, 3, 1, None, None, None]),  # the anchor itself
+], ids=["join", "drop"])
+def test_resume_rejects_a_bogus_certificate(tmp_path, capsys, row, bogus):
+    out, cp = tmp_path / "run.csv", tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--out", out, "--checkpoint", cp) == 0
+    doc = json.loads(cp.read_text())
+    doc["success_records"][doc["success_records"].index(row)] = bogus
+    cp.write_text(json.dumps(doc))
+    assert run_cli("search", "--max-modulus", 48, "--out", out, "--checkpoint", cp,
+                   "--resume") == 2
+    assert f"certificate of {row[0]}k-{row[1]} does not hold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index, value", [(1, "1/3"), (-1, "1/1"), (0, "-1/2")],
+                         ids=["decreasing", "not-the-final-density", "negative"])
+def test_report_rejects_an_impossible_density_trail(tmp_path, capsys, index, value):
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    doc = json.loads(cp.read_text())
+    doc["checkpoints"][index][1] = value
+    cp.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("report", "--checkpoint", cp) == 2
+    captured = capsys.readouterr()
+    assert "impossible density trail" in captured.err
+    assert "-17.33333%" not in captured.out
 
 
 def test_resume_requires_checkpoint_flag(capsys):

@@ -158,6 +158,8 @@ def test_ledger_matches_brute_force(classes):
     assert ledger.density() == brute_force_density(classes, L)
     assert sum(gains) == ledger.density()
     assert ledger.recomputed_density() == ledger.density()
+    survivor_density = sum((Fraction(1, m) for m, _ in ledger.survivors()), Fraction(0))
+    assert 1 - survivor_density == ledger.density()
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,11 +176,11 @@ def test_ledger_density_is_order_independent(classes, rng):
 @given(scenarios())
 def test_ledger_classes_stay_disjoint(classes):
     ledger = CoverageLedger.from_classes(classes)
-    stored = ledger.stored_classes()
-    for i, (m1, r1) in enumerate(stored):
-        for m2, r2 in stored[i + 1:]:
-            g = math.gcd(m1, m2)
-            assert r1 % g != r2 % g  # classes intersect iff congruent mod gcd
+    for disjoint in (ledger.stored_classes(), ledger.survivors()):
+        for i, (m1, r1) in enumerate(disjoint):
+            for m2, r2 in disjoint[i + 1:]:
+                g = math.gcd(m1, m2)
+                assert r1 % g != r2 % g  # classes intersect iff congruent mod gcd
 
 
 @settings(max_examples=100, deadline=None)
@@ -189,3 +191,33 @@ def test_covers_agrees_with_zero_gain(classes):
     covered = ledger.covers(probe)
     gain = ledger.add_class(probe)
     assert covered == (gain == 0)
+
+
+def test_survivors_examples():
+    ledger = CoverageLedger()
+    assert ledger.survivors() == (ResidueClass(1, 0),)
+    ledger.add_class(ResidueClass(2, 0))
+    assert ledger.survivors() == (ResidueClass(2, 1),)
+    ledger.add_class(ResidueClass(4, 1))
+    assert ledger.survivors() == (ResidueClass(4, 3),)
+    ledger.add_class(ResidueClass(6, 5))  # 3 mod 4 splits by 3; 11 mod 12 goes
+    assert ledger.survivors() == (ResidueClass(12, 3), ResidueClass(12, 7))
+    assert ledger.open_residues(8) == [3, 7]
+    assert ledger.open_residues(6) == [1, 3]
+    assert ledger.add_class(ResidueClass(1, 0)) == Fraction(1, 6)
+    assert ledger.survivors() == ()
+    assert ledger.open_residues(8) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios(), st.sampled_from(SMOOTH_MODULI), st.data())
+def test_open_residues_and_covers_match_residue_marking(classes, b, data):
+    ledger = CoverageLedger.from_classes(classes)
+    L = math.lcm(b, *(m for m, _ in classes))
+    covered = bytearray(L)  # residue-marking oracle
+    for m, r in classes:
+        covered[r::m] = b"\x01" * len(range(r, L, m))
+    expected = [x for x in range(b) if not all(covered[x::b])]
+    assert ledger.open_residues(b) == expected
+    r = data.draw(st.integers(0, b - 1))
+    assert ledger.covers(ResidueClass(b, r)) == (r not in expected)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from collatz_sieve import (
     AffineForm,
     CertKind,
+    CoverageLedger,
     PatternClass,
     SearchConfig,
     SuccessRecord,
@@ -19,6 +22,7 @@ from collatz_sieve import (
     run_search,
     verify_success_record,
 )
+from collatz_sieve.cli import _record_to_row
 from collatz_sieve.search import DuplicateRegistrationError, seed_trajectory
 
 
@@ -155,6 +159,21 @@ def test_run_search_skip_covered_same_density():
     assert skipped.skipped > 0
     # skipping never invents records, it only drops covered ones
     assert {r.pattern for r in skipped.records} <= {r.pattern for r in plain.records}
+
+
+def test_skip_covered_search_to_4096_is_pinned():
+    # SHA-256 of the stored coverage classes, density trail and record rows
+    # of a filtered skip-covered search to 4096, as the ledger produced them
+    # while it still proved every skipped class covered one by one.
+    ledger = CoverageLedger()
+    summary = run_search(SearchConfig(max_modulus=4096, filter_3smooth=True,
+                                      skip_covered=True), ledger=ledger)
+    doc = {"stored_classes": [list(c) for c in ledger.stored_classes()],
+           "trail": [[m, str(d)] for m, d in summary.checkpoints],
+           "records": [_record_to_row(r) for r in summary.records]}
+    assert (len(summary.records), summary.examined, summary.skipped) == (65, 21230, 17749)
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
+        "7a5f2d2a47b5d39656f724c8eb0829d867bec0a914527f92bbd99f5b60c5f3bd")
 
 
 def test_run_search_k_verify_smoke():
