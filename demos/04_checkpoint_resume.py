@@ -2,11 +2,14 @@
 Checkpointed searches: stop anywhere, resume bit-for-bit
 ========================================================
 
-Long runs write a checkpoint after every modulus.  Resuming rebuilds the
-trajectory registry deterministically from the certified records (the
-registry is a pure function of which classes were registered), verifies
-it against the stored digest, and continues; the final results file and
-checkpoint are byte-identical to those of an uninterrupted run.
+Long runs keep a checkpoint journal: a header line, then one appended line
+per modulus with the records it added, its density, the class counts and
+the registry digest.  Resuming replays the search from those records (the
+registry is a pure function of which classes were registered), checks the
+replay against every density, the counts and the last digest, and appends
+from there; a last line torn by a kill is dropped first.  The final
+results file and journal are byte-identical to those of an uninterrupted
+run.  `report` and `coverage` read a journal through the same replay.
 """
 
 import filecmp
@@ -33,7 +36,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     print("\nresults CSV identical:",
           filecmp.cmp(full_csv, part_csv, shallow=False))
-    print("checkpoints identical:",
+    print("journals identical:",
           filecmp.cmp(full_cp, part_cp, shallow=False))
 
     print("\nbrute-force spot check of one certificate from the run:")

@@ -9,21 +9,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import NamedTuple, Sequence
 
 from . import oracle
 from .affine import TrajectoryCapError
-from .coverage import (
-    CoverageLedger,
-    ResidueClass,
-    delta_report,
-    format_percent,
-)
+from .coverage import delta_report, format_percent
 from .search import (
     CertificateError,
     CertKind,
@@ -32,6 +27,7 @@ from .search import (
     ResumeState,
     SearchConfig,
     SuccessRecord,
+    _moduli,
     analyze_moduli,
     check_class,
     rebuild_state,
@@ -45,21 +41,27 @@ EXIT_VERIFY = 1
 EXIT_IO = 2
 EXIT_CAP = 3
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CSV_HEADER = ["b", "c", "stop_index", "join_b", "join_c", "join_index"]
 
 
 class CheckpointError(Exception):
-    """Missing, malformed, or internally inconsistent checkpoint file."""
+    """Missing, malformed, or internally inconsistent checkpoint journal."""
 
 
 # ---------------------------------------------------------------- checkpoint
+#
+# A checkpoint is an append-only journal of JSON lines: a header with the
+# format version and the configuration echo, then one line per processed
+# modulus with the records it added, its density, the examined and skipped
+# counts so far and the registry digest.  A last line without its newline was
+# cut short by a kill: readers ignore it and a resumed search truncates it.
 
 def _config_echo(config: SearchConfig) -> dict:
-    # Spelled out, not derived from the dataclass, so the checkpoint format
-    # changes only when this function does.
+    # Spelled out, not derived from the dataclass, so the journal format
+    # changes only when this function does.  No max_modulus: a journal's
+    # frontier is its last line.
     return {
-        "max_modulus": config.max_modulus,
         "filter_3smooth": config.filter_3smooth,
         "skip_covered": config.skip_covered,
         "join_targets_3smooth": config.join_targets_3smooth,
@@ -78,100 +80,104 @@ def _record_to_row(rec: SuccessRecord) -> list:
             rec.joined_class.modulus, rec.joined_class.remainder, rec.join_index]
 
 
-def _record_from_row(row: Sequence) -> SuccessRecord:
+def _ints(*values: object) -> bool:
+    return all(type(v) is int for v in values)  # JSON true/false are not integers here
+
+
+def _record_from_row(row: object) -> SuccessRecord:
+    if not (isinstance(row, list) and len(row) == 6 and _ints(*row[:3])
+            and (row[3:] == [None] * 3 or _ints(*row[3:]))):
+        raise ValueError(f"malformed record row {row!r}")
     b, c, stop, jb, jc, ji = row
     if jb is None:
         return SuccessRecord(PatternClass(b, c), CertKind.DROP, stop)
-    return SuccessRecord(PatternClass(b, c), CertKind.JOIN, stop,
-                         PatternClass(jb, jc), ji)
+    return SuccessRecord(PatternClass(b, c), CertKind.JOIN, stop, PatternClass(jb, jc), ji)
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+def _parse_fraction(text: object) -> Fraction:
+    match = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", text) if isinstance(text, str) else None
+    if match is None or int(match[2]) < 1:
+        raise ValueError(f"expected a fraction p/q with q >= 1, got {text!r}")
+    return Fraction(int(match[1]), int(match[2]))
 
 
-def _parse_fraction(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den or 1))
+class JournalEntry(NamedTuple):
+    """One journal line: what a search added at one modulus."""
 
-
-@dataclass
-class Checkpoint:
-    config: dict
-    frontier_modulus: int
+    modulus: int
+    records: list[SuccessRecord]
+    density: Fraction
     examined: int
     skipped: int
-    records: list[SuccessRecord]
-    ledger_classes: list[ResidueClass]
-    density: Fraction
-    checkpoints: list[tuple[int, Fraction]]
     registry_digest: str
 
 
-def save_checkpoint(path: str, cp: Checkpoint) -> None:
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": cp.config,
-        "frontier_modulus": cp.frontier_modulus,
-        "examined": cp.examined,
-        "skipped": cp.skipped,
-        "success_records": [_record_to_row(r) for r in cp.records],
-        "ledger_classes": [[m, r] for m, r in sorted(cp.ledger_classes)],
-        "density": _fraction_str(cp.density),
-        "checkpoints": [[m, _fraction_str(d)] for m, d in cp.checkpoints],
-        "registry_digest": cp.registry_digest,
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    # write-then-rename: an interrupted run never leaves a torn checkpoint
-    os.replace(tmp, path)
+class Journal(NamedTuple):
+    """A parsed journal; a torn last line lies beyond `length` bytes."""
+
+    config: SearchConfig  # max_modulus is the last line's modulus
+    entries: list[JournalEntry]
+    length: int
 
 
-def load_checkpoint(path: str) -> Checkpoint:
+def _encode(doc: dict) -> bytes:
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _decode_entry(line: bytes) -> JournalEntry:
+    doc = json.loads(line)
+    if not (isinstance(doc, dict) and doc.keys() == set(JournalEntry._fields)
+            and _ints(doc["modulus"], doc["examined"], doc["skipped"])
+            and isinstance(doc["records"], list) and isinstance(doc["registry_digest"], str)):
+        raise ValueError("not a journal line")
+    return JournalEntry(**doc | {"records": [_record_from_row(r) for r in doc["records"]],
+                                 "density": _parse_fraction(doc["density"])})
+
+
+def save_checkpoint(path: str, entry: JournalEntry) -> None:
+    """Append one modulus to the journal at path."""
+    density = f"{entry.density.numerator}/{entry.density.denominator}"
+    with open(path, "ab") as fh:
+        fh.write(_encode(entry._asdict() | {
+            "records": [_record_to_row(r) for r in entry.records], "density": density}))
+
+
+def load_checkpoint(path: str) -> Journal:
+    """Parse a journal; nothing in it is replayed or cross-checked here."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint {path} does not exist")
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
+    *lines, torn = data.split(b"\n")
     try:
-        if doc["format_version"] != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {doc['format_version']}"
-            )
-        cp = Checkpoint(
-            config=doc["config"],
-            frontier_modulus=doc["frontier_modulus"],
-            examined=doc["examined"],
-            skipped=doc["skipped"],
-            records=[_record_from_row(r) for r in doc["success_records"]],
-            ledger_classes=[ResidueClass(m, r) for m, r in doc["ledger_classes"]],
-            density=_parse_fraction(doc["density"]),
-            checkpoints=[(m, _parse_fraction(d)) for m, d in doc["checkpoints"]],
-            registry_digest=doc["registry_digest"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path} is malformed: {exc}")
-    _check_trail(path, cp)
-    return cp
-
-
-def _check_trail(path: str, cp: Checkpoint) -> None:
-    """A density trail has strictly increasing moduli and non-decreasing
-    densities in [0, 1], and ends at the frontier with the stored density."""
-    trail = cp.checkpoints
-    moduli = [m for m, _ in trail]
-    densities = [d for _, d in trail]
-    ok = (
-        all(a < b for a, b in zip(moduli, moduli[1:]))
-        and all(0 <= a <= b <= 1 for a, b in zip([Fraction(0)] + densities, densities))
-        and (not trail or trail[-1] == (cp.frontier_modulus, cp.density))
-    )
-    if not ok:
-        raise CheckpointError(f"checkpoint {path} has an impossible density trail")
+        header = json.loads(lines[0]) if lines else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
+        # a version-1 checkpoint was one indented JSON document
+        found = re.search(rb'"format_version": *(-?[0-9]+)', data)
+        raise CheckpointError(f"checkpoint {path} is not a version-{CHECKPOINT_VERSION} journal"
+                              + (f" (it has format_version {int(found[1])})" if found else ""))
+    entries = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            entries.append(_decode_entry(line))
+        except ValueError as exc:
+            raise CheckpointError(f"line {number} of checkpoint {path} is malformed: {exc}")
+    # each header value must have the type of its field; step_cap may be null
+    echo, kinds = header.get("config"), _config_echo(SearchConfig(max_modulus=2, step_cap=1))
+    if not (isinstance(echo, dict) and echo.keys() == kinds.keys() and all(
+            type(value) is type(kinds[key]) or (key == "step_cap" and value is None)
+            for key, value in echo.items())):
+        raise CheckpointError(f"checkpoint {path} has a malformed configuration header")
+    try:
+        config = SearchConfig(max_modulus=entries[-1].modulus if entries else 2, **echo)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path} cannot be replayed: {exc}") from None
+    return Journal(config, entries, len(data) - len(torn))
 
 
 # -------------------------------------------------------------------- search
@@ -187,38 +193,42 @@ def _build_config(args) -> SearchConfig:
     )
 
 
-def _restore(config: SearchConfig, path: str) -> ResumeState:
-    """Replay the search a checkpoint describes and check that they agree."""
-    cp = load_checkpoint(path)
-    stored = dict(cp.config)
-    current = _config_echo(config)
-    for key in current:
-        if key == "max_modulus":
-            continue
-        if stored.get(key) != current[key]:
-            raise CheckpointError(
-                f"checkpoint was produced with {key}={stored.get(key)!r}, "
-                f"current run has {current[key]!r}"
-            )
+def _restore(path: str, config: SearchConfig | None = None
+             ) -> tuple[Journal, ResumeState | None]:
+    """Load a journal and replay it with its own configuration; every command
+    that reads a run comes here.  The replay must reproduce the journal's
+    density trail, records, counts and registry digest, and callers take the
+    run from the replay.  A journal with no modulus yet gives no state, and
+    `config`, when given, must match the header."""
+    journal = load_checkpoint(path)
+    stored = _config_echo(journal.config)
+    for key, value in _config_echo(config).items() if config else ():
+        if stored[key] != value:
+            raise CheckpointError(f"checkpoint was produced with {key}={stored[key]!r}, "
+                                  f"current run has {value!r}")
+    if not journal.entries:
+        return journal, None
+    last = journal.entries[-1]
+    # The replay goes no further than the journal's length vouches for; if
+    # that falls short of the last line, the trail comparison says so.
+    frontier = max(islice(_moduli(last.modulus, journal.config.filter_3smooth),
+                          len(journal.entries) - 1), default=2)
+    records = [record for entry in journal.entries for record in entry.records]
     try:
-        state = rebuild_state(config, cp.frontier_modulus, cp.records)
+        state = rebuild_state(journal.config, frontier, records)
     except ReplayError as exc:
         raise CheckpointError(str(exc)) from None
     comparisons = [
-        ("registry digest", state.registry.digest(), cp.registry_digest),
-        ("density", state.ledger.density(), cp.density),
-        ("coverage classes", set(state.ledger.stored_classes()), set(cp.ledger_classes)),
-        ("frontier", state.frontier_modulus, cp.frontier_modulus),
-        ("density trail", state.checkpoints, cp.checkpoints),
-        ("record patterns", [r.pattern for r in state.records],
-         [r.pattern for r in cp.records]),
-        ("examined count", state.examined, cp.examined),
-        ("skipped count", state.skipped, cp.skipped),
+        ("density trail", state.checkpoints, [(e.modulus, e.density) for e in journal.entries]),
+        ("record patterns", [r.pattern for r in state.records], [r.pattern for r in records]),
+        ("examined count", state.examined, last.examined),
+        ("skipped count", state.skipped, last.skipped),
+        ("registry digest", state.registry.digest(), last.registry_digest),
     ]
     for what, replayed, saved in comparisons:
         if replayed != saved:
             raise CheckpointError(f"the replay's {what} does not match the checkpoint")
-    return state
+    return journal, state
 
 
 def cmd_search(args) -> int:
@@ -228,36 +238,32 @@ def cmd_search(args) -> int:
         if not args.checkpoint:
             print("--resume needs --checkpoint", file=sys.stderr)
             return EXIT_IO
-        resume_state = _restore(config, args.checkpoint)
+        journal, resume_state = _restore(args.checkpoint, config)
+        os.truncate(args.checkpoint, journal.length)  # drop a torn last line
+    elif args.checkpoint:
+        with open(args.checkpoint, "wb") as fh:  # a new journal: the header alone
+            fh.write(_encode({"config": _config_echo(config),
+                              "format_version": CHECKPOINT_VERSION}))
 
-    out_fh = None
-    writer = None
-    if args.out:
-        out_fh = open(args.out, "w", newline="")
-        writer = csv.writer(out_fh)
-        writer.writerow(CSV_HEADER)
-        if resume_state is not None:
-            for rec in resume_state.records:
-                writer.writerow(["" if v is None else v for v in _record_to_row(rec)])
+    out_fh = open(args.out, "w", newline="") if args.out else None
+    writer = csv.writer(out_fh) if out_fh is not None else None
 
     def sink(rec: SuccessRecord) -> None:
         if writer is not None:
             writer.writerow(["" if v is None else v for v in _record_to_row(rec)])
 
+    if writer is not None:
+        writer.writerow(CSV_HEADER)
+    for rec in resume_state.records if resume_state is not None else ():
+        sink(rec)
+
     def after_batch(batch) -> None:
         if out_fh is not None:
             out_fh.flush()
         if args.checkpoint:
-            save_checkpoint(args.checkpoint, Checkpoint(
-                config=_config_echo(config),
-                frontier_modulus=batch.modulus,
-                examined=batch.examined,
-                skipped=batch.skipped,
-                records=batch.records,
-                ledger_classes=list(batch.ledger.stored_classes()),
-                density=batch.ledger.density(),
-                checkpoints=batch.checkpoints,
-                registry_digest=batch.registry.digest(),
+            save_checkpoint(args.checkpoint, JournalEntry(
+                batch.modulus, batch.new_records, batch.checkpoints[-1][1],
+                batch.examined, batch.skipped, batch.registry.digest(),
             ))
 
     try:
@@ -295,8 +301,9 @@ def _emit_table(rows: list[list[str]], header: list[str], fmt: str) -> None:
 
 
 def cmd_report(args) -> int:
-    cp = load_checkpoint(args.checkpoint)
-    rep = delta_report(cp.checkpoints)
+    _, state = _restore(args.checkpoint)
+    trail, records = (state.checkpoints, state.records) if state else ([], [])
+    rep = delta_report(trail)
 
     rows = [[f"2^{t}", format_percent(g)] for t, g in rep.power_rows]
     _emit_table(rows, ["factor", "pct complete change"], args.format)
@@ -306,14 +313,14 @@ def cmd_report(args) -> int:
     _emit_table(rows, ["factor range", "pct complete change"], args.format)
     print()
     rows = []
-    for rec in cp.records:
+    for rec in records:
         row = _record_to_row(rec)
         rows.append([("-" if args.format == "text" else "") if v is None else str(v)
                      for v in row])
     _emit_table(rows, CSV_HEADER, args.format)
     if args.laws:
         print()
-        _emit_laws(cp.records, args.format)
+        _emit_laws(records, args.format)
     return EXIT_OK
 
 
@@ -400,11 +407,9 @@ def cmd_verify(args) -> int:
 
     rec = None
     if args.checkpoint:
-        cp = load_checkpoint(args.checkpoint)
-        for r in cp.records:
-            if r.pattern == cls:
-                rec = r
-                break
+        # the brute force below is the check, so no replay
+        rec = next((r for entry in load_checkpoint(args.checkpoint).entries
+                    for r in entry.records if r.pattern == cls), None)
     if rec is None:
         if cls == PatternClass(2, 0):
             rec = seed_record()
@@ -435,19 +440,18 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ coverage
 
 def cmd_coverage(args) -> int:
-    cp = load_checkpoint(args.checkpoint)
-    ledger = CoverageLedger.from_classes(cp.ledger_classes)
-    if ledger.density() != cp.density:
-        raise CheckpointError("stored classes do not reproduce the stored density")
-    pattern_lcm = math.lcm(*(r.pattern.modulus for r in cp.records)) if cp.records else 1
-    print(f"frontier modulus: {cp.frontier_modulus}")
-    print(f"certified classes: {len(cp.records)}")
-    print(f"disjoint residue classes: {len(cp.ledger_classes)}")
-    print(f"density {cp.density} = {format_percent(cp.density)}")
+    _, state = _restore(args.checkpoint)
+    if state is None:
+        raise CheckpointError(f"checkpoint {args.checkpoint} records no modulus yet")
+    ledger, classes = state.ledger, state.ledger.stored_classes()
+    print(f"frontier modulus: {state.frontier_modulus}")
+    print(f"certified classes: {len(state.records)}")
+    print(f"disjoint residue classes: {len(classes)}")
+    print(f"density {ledger.density()} = {format_percent(ledger.density())}")
     print(f"lcm of stored moduli: {ledger.lcm_of_moduli()}")
-    print(f"lcm of certified pattern moduli: {pattern_lcm}")
+    print(f"lcm of certified pattern moduli: {ledger.lcm_of_added_moduli()}")
     if args.classes:
-        for m, r in sorted(cp.ledger_classes):
+        for m, r in classes:
             print(f"  {r} mod {m}")
     return EXIT_OK
 

@@ -120,9 +120,6 @@ class TrajectoryRegistry:
     def __len__(self) -> int:
         return len(self._classes)
 
-    def __contains__(self, cls: PatternClass) -> bool:
-        return cls in self._classes
-
     def entry_count(self) -> int:
         return sum(len(v) for v in self._by_form.values())
 
@@ -319,7 +316,6 @@ class BatchResult:
 
     modulus: int
     new_records: list[SuccessRecord]
-    records: list[SuccessRecord]
     checkpoints: list[tuple[int, Fraction]]
     ledger: CoverageLedger
     registry: TrajectoryRegistry
@@ -349,7 +345,6 @@ class ResumeState:
 
 @dataclass
 class SearchSummary:
-    config: SearchConfig
     records: list[SuccessRecord]
     checkpoints: list[tuple[int, Fraction]]
     final_density: Fraction
@@ -456,8 +451,8 @@ def run_search(
                 sink(record)
         if after_batch is not None:
             after_batch(
-                BatchResult(modulus, new_records, state.records, state.checkpoints,
-                            state.ledger, state.registry, state.examined, state.skipped)
+                BatchResult(modulus, new_records, state.checkpoints, state.ledger,
+                            state.registry, state.examined, state.skipped)
             )
 
     if resume is None:
@@ -471,7 +466,6 @@ def run_search(
         publish(modulus, new_records)
 
     return SearchSummary(
-        config=config,
         records=state.records,
         checkpoints=state.checkpoints,
         final_density=state.ledger.density(),

@@ -469,12 +469,12 @@ def test_criterion_9_resume_determinism(tmp_path):
     killed_early = False
     try:
         while proc.poll() is None:
-            if b_cp.exists():
-                frontier = json.loads(b_cp.read_text())["frontier_modulus"]
-                if frontier >= 200:
-                    proc.kill()
-                    killed_early = True
-                    break
+            # the modulus of the journal's last complete line
+            complete = b_cp.read_bytes().split(b"\n")[1:-1] if b_cp.exists() else []
+            if complete and json.loads(complete[-1])["modulus"] >= 200:
+                proc.kill()
+                killed_early = True
+                break
             time.sleep(0.02)
     finally:
         proc.wait()

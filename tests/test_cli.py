@@ -66,11 +66,16 @@ def test_report_csv_format(tmp_path, capsys):
 
 
 def test_checkpoint_round_trip_is_byte_identical(tmp_path):
+    # decoding each journal line and appending it again gives the same bytes
     cp = tmp_path / "run.json"
     run_cli("search", "--max-modulus", 48, "--checkpoint", cp)
-    reloaded = load_checkpoint(str(cp))
+    header = cp.read_bytes().splitlines(keepends=True)[0]
+    entries = load_checkpoint(str(cp)).entries
+    assert [e.modulus for e in entries] == list(range(2, 49, 2))  # one line per modulus
     copy = tmp_path / "copy.json"
-    save_checkpoint(str(copy), reloaded)
+    copy.write_bytes(header)
+    for entry in entries:
+        save_checkpoint(str(copy), entry)
     assert filecmp.cmp(cp, copy, shallow=False)
 
 
@@ -104,22 +109,39 @@ def test_resume_rejects_config_mismatch(tmp_path, capsys):
                    "--resume", "--skip-covered") == 2
 
 
-def _set_examined(doc):
-    doc["examined"] = 999999
+def _edit_journal(path, edit):
+    """Decode the lines after the header, apply edit(lines), write them back."""
+    header, *lines = path.read_text().splitlines()
+    lines = [json.loads(line) for line in lines]
+    edit(lines)
+    path.write_text("\n".join([header, *map(json.dumps, lines)]) + "\n")
 
 
-def _bump_skipped(doc):
-    doc["skipped"] += 1
+def _set_examined(lines):
+    lines[-1]["examined"] = 999999
 
 
-def _set_trail_entry(doc):
+def _bump_skipped(lines):
+    lines[-1]["skipped"] += 1
+
+
+def _set_trail_entry(lines):
     # 3/4 at modulus 4 becomes 4/5: still between its neighbours 1/2 and
     # 5/6, so only the replay can tell it is wrong
-    doc["checkpoints"][1][1] = "4/5"
+    lines[1]["density"] = "4/5"
 
 
-def _append_record(doc):
-    doc["success_records"].append([10, 9, 2, None, None, None])
+def _append_record(lines):
+    lines[-1]["records"].append([10, 9, 2, None, None, None])
+
+
+def _zero_digest(lines):
+    lines[-1]["registry_digest"] = "0" * 64
+
+
+def _set_frontier_far(lines):
+    # a replay to this modulus would not end; the 16 lines bound it at 32
+    lines[-1]["modulus"] = 10**12
 
 
 @pytest.mark.parametrize("flags, tamper, what", [
@@ -128,31 +150,52 @@ def _append_record(doc):
     ([], _set_trail_entry, "density trail"),
     # modulus 10 is not 2^t*3^s, so this run never examines 10k-9
     (["--filter-3smooth", "on"], _append_record, "record patterns"),
-], ids=["examined", "skipped", "density-trail", "record"])
+    ([], _zero_digest, "registry digest"),
+    ([], _set_frontier_far, "density trail"),
+], ids=["examined", "skipped", "density-trail", "record", "digest", "far-frontier"])
 def test_resume_rejects_what_the_replay_contradicts(tmp_path, capsys, flags, tamper, what):
     cp = tmp_path / "run.json"
     assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp, *flags) == 0
-    doc = json.loads(cp.read_text())
-    tamper(doc)
-    cp.write_text(json.dumps(doc))
+    _edit_journal(cp, tamper)
     assert run_cli("search", "--max-modulus", 48, "--checkpoint", cp,
                    "--resume", *flags) == 2
     assert f"the replay's {what} does not match" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row, bogus", [
+BOGUS_CERTIFICATES = pytest.mark.parametrize("row, bogus", [
     ([6, 1, 1, 4, 1, 3], [6, 1, 2, 4, 1, 3]),  # 6k-1 does not meet 4k-1 there
     ([4, 3, 4, None, None, None], [4, 3, 1, None, None, None]),  # the anchor itself
 ], ids=["join", "drop"])
+
+
+def _replace_row(row, bogus):
+    def edit(lines):
+        line = next(line for line in lines if row in line["records"])
+        line["records"][line["records"].index(row)] = bogus
+    return edit
+
+
+@BOGUS_CERTIFICATES
 def test_resume_rejects_a_bogus_certificate(tmp_path, capsys, row, bogus):
     out, cp = tmp_path / "run.csv", tmp_path / "run.json"
     assert run_cli("search", "--max-modulus", 32, "--out", out, "--checkpoint", cp) == 0
-    doc = json.loads(cp.read_text())
-    doc["success_records"][doc["success_records"].index(row)] = bogus
-    cp.write_text(json.dumps(doc))
+    _edit_journal(cp, _replace_row(row, bogus))
     assert run_cli("search", "--max-modulus", 48, "--out", out, "--checkpoint", cp,
                    "--resume") == 2
     assert f"certificate of {row[0]}k-{row[1]} does not hold" in capsys.readouterr().err
+
+
+@BOGUS_CERTIFICATES
+def test_report_and_coverage_reject_a_bogus_certificate(tmp_path, capsys, row, bogus):
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    _edit_journal(cp, _replace_row(row, bogus))
+    capsys.readouterr()
+    for command in (["report", "--format", "csv"], ["coverage", "--classes"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        captured = capsys.readouterr()
+        assert f"certificate of {row[0]}k-{row[1]} does not hold" in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("index, value", [(1, "1/3"), (-1, "1/1"), (0, "-1/2")],
@@ -160,14 +203,89 @@ def test_resume_rejects_a_bogus_certificate(tmp_path, capsys, row, bogus):
 def test_report_rejects_an_impossible_density_trail(tmp_path, capsys, index, value):
     cp = tmp_path / "run.json"
     assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
-    doc = json.loads(cp.read_text())
-    doc["checkpoints"][index][1] = value
-    cp.write_text(json.dumps(doc))
+    _edit_journal(cp, lambda lines: lines[index].update(density=value))
     capsys.readouterr()
     assert run_cli("report", "--checkpoint", cp) == 2
     captured = capsys.readouterr()
-    assert "impossible density trail" in captured.err
+    assert "the replay's density trail does not match" in captured.err
     assert "-17.33333%" not in captured.out
+
+
+def _set_density_1_over_0(lines):
+    lines[3]["density"] = "1/0"
+
+
+def _quote_a_modulus(lines):
+    lines[1]["records"][0][0] = "4"
+
+
+def _make_a_stop_index_true(lines):
+    lines[2]["records"][0][2] = True  # 6k-1 joins at element 1, so true would read as 1
+
+
+@pytest.mark.parametrize("tamper", [_set_density_1_over_0, _quote_a_modulus,
+                                    _make_a_stop_index_true],
+                         ids=["zero-denominator", "string-modulus", "boolean-stop-index"])
+def test_malformed_numbers_are_checkpoint_errors(tmp_path, capsys, tamper):
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    _edit_journal(cp, tamper)
+    capsys.readouterr()
+    for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        captured = capsys.readouterr()
+        assert "is malformed" in captured.err
+        assert captured.out == ""
+
+
+def test_torn_last_line_is_ignored_and_truncated_on_resume(tmp_path, capsys):
+    a_csv, a_cp = tmp_path / "a.csv", tmp_path / "a.json"
+    b_csv, b_cp = tmp_path / "b.csv", tmp_path / "b.json"
+    run_cli("search", "--max-modulus", 64, "--out", a_csv, "--checkpoint", a_cp)
+    run_cli("search", "--max-modulus", 32, "--out", b_csv, "--checkpoint", b_cp)
+    capsys.readouterr()
+    assert run_cli("report", "--checkpoint", b_cp) == 0
+    report_to_32 = capsys.readouterr().out
+    # a kill -9 halfway through writing the line of modulus 34
+    line_34 = a_cp.read_bytes().splitlines(keepends=True)[17]
+    assert json.loads(line_34)["modulus"] == 34
+    with open(b_cp, "ab") as fh:
+        fh.write(line_34[:len(line_34) // 2])
+    assert run_cli("report", "--checkpoint", b_cp) == 0
+    assert capsys.readouterr().out == report_to_32
+    assert run_cli("search", "--max-modulus", 64, "--out", b_csv,
+                   "--checkpoint", b_cp, "--resume") == 0
+    assert filecmp.cmp(a_csv, b_csv, shallow=False)
+    assert filecmp.cmp(a_cp, b_cp, shallow=False)
+
+
+def _version_1_document(path):
+    path.write_text(json.dumps({
+        "format_version": 1, "config": {}, "frontier_modulus": 0,
+        "examined": 0, "skipped": 0, "success_records": [],
+        "ledger_classes": [], "density": "0/1", "checkpoints": [],
+        "registry_digest": "",
+    }, indent=2, sort_keys=True) + "\n")
+
+
+def _garble_a_complete_line(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[5] = b'{"density": "5/6", "modulus": 10,\n'
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_version_1_document, "has format_version 1"),
+    (_garble_a_complete_line, "line 6 of checkpoint"),
+], ids=["version-1", "garbled-line"])
+def test_unreadable_journals_are_rejected(tmp_path, capsys, damage, message):
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    damage(cp)
+    capsys.readouterr()
+    for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_resume_requires_checkpoint_flag(capsys):
@@ -190,13 +308,11 @@ def test_missing_and_corrupt_checkpoints(tmp_path):
 
 
 def test_report_on_empty_checkpoint(tmp_path, capsys):
+    # a journal that holds its header alone: a run killed before modulus 2
     empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({
-        "format_version": 1, "config": {}, "frontier_modulus": 0,
-        "examined": 0, "skipped": 0, "success_records": [],
-        "ledger_classes": [], "density": "0/1", "checkpoints": [],
-        "registry_digest": "",
-    }))
+    run_cli("search", "--max-modulus", 4, "--checkpoint", empty)
+    empty.write_bytes(empty.read_bytes().splitlines(keepends=True)[0])
+    capsys.readouterr()
     assert run_cli("report", "--checkpoint", empty) == 0
     text = capsys.readouterr().out
     assert "factor  pct complete change" in text
