@@ -14,6 +14,10 @@ which induction over smaller integers covers, so even failed classes are
 legitimate join targets.  Within one modulus all classes are checked
 against the registry as frozen at the start of that modulus, which makes
 results independent of the order of the classes within the modulus.
+
+The registry stores no trajectory, only one bit per registered class and
+a Bloom filter over the last elements of their trajectories; a lookup
+walks the symbolic step backwards (see TrajectoryRegistry).
 """
 
 from __future__ import annotations
@@ -105,35 +109,135 @@ class DuplicateRegistrationError(ValueError):
     """The same class was registered twice."""
 
 
-class TrajectoryRegistry:
-    """Index of every element of every trajectory built so far.
+class _BloomFilter:
+    """Membership with false positives but no false negatives (Bloom, CACM
+    1970), grown as a scalable Bloom filter (Almeida et al., IPL 2007): a full
+    sub-filter is followed by one of twice its capacity.  Three probes by
+    double hashing at 16 bits per item give about 0.5% false positives; an
+    unsalted hash (a tuple of ints) makes the answers repeat across runs.
+    """
 
-    Lookup of an affine form returns the (class, element index) pairs in
-    registration order, so earlier-enumerated classes come first.
+    _BITS_PER_ITEM = 16
+    _FIRST_CAPACITY = 1 << 16
+
+    def __init__(self) -> None:
+        self._filters: list[tuple[bytearray, int]] = []  # (bits, bit mask)
+        self._room = 0  # items the newest sub-filter still takes
+
+    @staticmethod
+    def _probes(item: object) -> tuple[int, int, int]:
+        h = hash(item)
+        step = (h >> 32) | 1
+        return h, h + step, h + 2 * step
+
+    def add(self, item: object) -> None:
+        if not self._room:
+            capacity = self._FIRST_CAPACITY << len(self._filters)
+            size = capacity * self._BITS_PER_ITEM
+            self._filters.append((bytearray(size // 8), size - 1))
+            self._room = capacity
+        bits, mask = self._filters[-1]
+        for p in self._probes(item):
+            p &= mask
+            bits[p >> 3] |= 1 << (p & 7)
+        self._room -= 1
+
+    def __contains__(self, item: object) -> bool:
+        probes = self._probes(item)
+        for bits, mask in self._filters:
+            for p in probes:
+                p &= mask
+                if not bits[p >> 3] >> (p & 7) & 1:
+                    break
+            else:
+                return True
+        return False
+
+
+class TrajectoryRegistry:
+    """The registered classes, and which of their trajectories meet a form.
+
+    No form is stored: per modulus, one bit per odd remainder c at c >> 1
+    (the seed 2k is bit 0 of modulus 2); size, entry count and digest are
+    running totals.  `lookup(f)` is exact by backward inversion.  The forms
+    that step to (a, d) are (2a, 2d), and (a/3, (d-1)/3) when that is an odd
+    form with an even coefficient, so the classes whose trajectory holds f
+    at element i are the registered anchors (b, -c) at depth i - 1 of the
+    tree of predecessors.  Going back d/a never rises, and anchors need
+    -1 < d/a <= 0, so a node with d <= -a is pruned.  Two divisions by 3
+    need a doubling between them, so with o = v3(a) no node behind (a, d)
+    has a coefficient below a*2^(o-1)/3^o (a if o = 0); a node whose bound
+    exceeds the largest registered modulus is pruned too.  Hits come in
+    canonical order, modulus ascending and remainder descending, which is
+    the order in which the search registers classes.
+
+    A trajectory ends at its first odd coefficient and the step is a
+    function, so trajectories that share an element share their last one:
+    a Bloom filter over the registered last elements tells, with no false
+    negative, when no element of a trajectory is registered (`may_meet`).
     """
 
     def __init__(self) -> None:
-        self._by_form: dict[AffineForm, list[tuple[PatternClass, int]]] = {}
-        self._classes: set[PatternClass] = set()
+        self._checked: dict[int, bytearray] = {}
+        self._classes = 0
+        self._entries = 0
+        self._top = 0  # largest registered modulus
+        self._terminals = _BloomFilter()
         self._digest = hashlib.sha256()
 
     def __len__(self) -> int:
-        return len(self._classes)
+        return self._classes
 
     def entry_count(self) -> int:
-        return sum(len(v) for v in self._by_form.values())
+        return self._entries
+
+    def _holds(self, b: int, c: int) -> bool:
+        bits = self._checked.get(b)
+        # An even remainder is no class, except for the seed 2k.
+        if bits is None or c & 1 != (b > 2):
+            return False
+        return bool(bits[c >> 4] >> (c >> 1 & 7) & 1)
 
     def lookup(self, form: AffineForm) -> tuple[tuple[PatternClass, int], ...]:
-        return tuple(self._by_form.get(form, ()))
+        a, d = form
+        if a < 1:
+            return ()
+        q, o = a, 0
+        while q % 3 == 0:
+            q, o = q // 3, o + 1
+        found = []
+        stack = [(a, d, o, q << (o - 1) if o else a, 1)]
+        while stack:
+            a, d, o, least, index = stack.pop()
+            if d <= -a or least > self._top:
+                continue
+            if d <= 0 and self._holds(a, -d):
+                found.append((PatternClass(a, -d), index))
+            stack.append((2 * a, 2 * d, o, 2 * least, index + 1))
+            if o and a % 2 == 0 and d % 3 == 1 and (d - 1) // 3 % 2:
+                stack.append((a // 3, (d - 1) // 3, o - 1,
+                              least // 2 if o > 1 else least, index + 1))
+        found.sort(key=lambda hit: (hit[0].modulus, -hit[0].remainder))
+        return tuple(found)
+
+    def may_meet(self, traj: TrajectoryPattern) -> bool:
+        """False only if no element of traj is in a registered trajectory."""
+        return traj.elements[-1] in self._terminals
 
     def register(self, traj: TrajectoryPattern) -> None:
-        cls = traj.anchor_class
-        if cls in self._classes:
+        b, c = cls = traj.anchor_class
+        if c & 1 != (b > 2) or not 0 <= c < b or b % 2:
+            raise ValueError(f"only the seed and odd remainders register, got {cls}")
+        if self._holds(b, c):
             raise DuplicateRegistrationError(f"{cls} is already registered")
-        self._classes.add(cls)
-        for index, form in enumerate(traj.elements, start=1):
-            self._by_form.setdefault(form, []).append((cls, index))
-        self._digest.update(f"{cls.modulus},{cls.remainder};".encode())
+        if b not in self._checked:
+            self._checked[b] = bytearray((b + 15) // 16)
+        self._checked[b][c >> 4] |= 1 << (c >> 1 & 7)
+        self._classes += 1
+        self._entries += len(traj.elements)
+        self._top = max(self._top, b)
+        self._terminals.add(traj.elements[-1])
+        self._digest.update(f"{b},{c};".encode())
 
     def digest(self) -> str:
         # Trajectories are a deterministic function of the class, so hashing
@@ -202,6 +306,8 @@ def _certify(
                 return SuccessRecord(cls, CertKind.DROP, index)
             break  # the k=1 member cannot be settled, so no drop anywhere
 
+    if not registry.may_meet(traj):
+        return None
     for index, element in enumerate(traj.elements, start=1):
         for prior_cls, prior_index in registry.lookup(element):
             if _join_target_ok(prior_cls, anchor, first_member, join_targets_3smooth,

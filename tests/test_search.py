@@ -15,6 +15,7 @@ from collatz_sieve import (
     analyze_moduli,
     check_class,
     enumerate_classes,
+    format_percent,
     is_3smooth_even,
     iter_modified_stops,
     pattern_trajectory,
@@ -96,6 +97,14 @@ def test_registry_examples():
     assert registry.lookup(AffineForm(486, -122)) == ((PatternClass(96, 25), 9),)
 
 
+def test_registry_lookup_skips_even_remainders():
+    # Walking back from 18k-1 passes 12k-1, 8k-1 and then 16k-2, which has
+    # the shape of an anchor but an even remainder, so it is no class.
+    assert registry_through(16).lookup(AffineForm(18, -1)) == (
+        (PatternClass(8, 1), 5), (PatternClass(12, 1), 3),
+    )
+
+
 def test_registry_lookup_keeps_registration_order():
     registry = TrajectoryRegistry()
     registry.register(pattern_trajectory(PatternClass(4, 1)))
@@ -174,6 +183,14 @@ def test_skip_covered_search_to_4096_is_pinned():
     assert (len(summary.records), summary.examined, summary.skipped) == (65, 21230, 17749)
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
         "7a5f2d2a47b5d39656f724c8eb0829d867bec0a914527f92bbd99f5b60c5f3bd")
+
+
+def test_filtered_skip_covered_search_to_2pow15_is_pinned():
+    summary = run_search(SearchConfig(max_modulus=2**15, filter_3smooth=True,
+                                      skip_covered=True))
+    assert len(summary.records) == 255
+    assert format_percent(summary.final_density) == "98.73278%"
+    assert summary.lcm_stored_moduli == 71_663_616
 
 
 def test_run_search_k_verify_smoke():
