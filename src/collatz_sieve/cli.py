@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -248,16 +249,17 @@ def cmd_search(args) -> int:
     out_fh = open(args.out, "w", newline="") if args.out else None
     writer = csv.writer(out_fh) if out_fh is not None else None
 
-    def sink(rec: SuccessRecord) -> None:
+    def write_rows(records: list[SuccessRecord]) -> None:
         if writer is not None:
-            writer.writerow(["" if v is None else v for v in _record_to_row(rec)])
+            writer.writerows(["" if v is None else v for v in _record_to_row(rec)]
+                             for rec in records)
 
     if writer is not None:
         writer.writerow(CSV_HEADER)
-    for rec in resume_state.records if resume_state is not None else ():
-        sink(rec)
+    write_rows(resume_state.records if resume_state is not None else [])
 
     def after_batch(batch) -> None:
+        write_rows(batch.new_records)
         if out_fh is not None:
             out_fh.flush()
         if args.checkpoint:
@@ -267,8 +269,7 @@ def cmd_search(args) -> int:
             ))
 
     try:
-        summary = run_search(config, sink=sink, after_batch=after_batch,
-                             resume=resume_state)
+        summary = run_search(config, after_batch=after_batch, resume=resume_state)
     finally:
         if out_fh is not None:
             out_fh.close()
@@ -449,7 +450,8 @@ def cmd_coverage(args) -> int:
     print(f"disjoint residue classes: {len(classes)}")
     print(f"density {ledger.density()} = {format_percent(ledger.density())}")
     print(f"lcm of stored moduli: {ledger.lcm_of_moduli()}")
-    print(f"lcm of certified pattern moduli: {ledger.lcm_of_added_moduli()}")
+    print(f"lcm of certified pattern moduli: "
+          f"{math.lcm(*{rec.pattern.modulus for rec in state.records})}")
     if args.classes:
         for m, r in classes:
             print(f"  {r} mod {m}")

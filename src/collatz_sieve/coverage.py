@@ -1,13 +1,13 @@
 """Exact coverage bookkeeping for certified congruence classes.
 
-The set of integers covered so far is kept as a union of pairwise
-disjoint residue classes, so its natural density is simply the sum of
-1/modulus over the stored classes, as an exact rational.  This sidesteps
+The integers not yet covered are kept as a union of pairwise disjoint
+residue classes, the survivors, so the open classes of a modulus are read
+off them instead of being proved covered one by one.  Covering a class is
+one refinement of the survivors it meets; the pieces they lose are stored
+as the covered classes, also disjoint, so the natural density is simply
+the sum of 1/modulus over them, as an exact rational.  This sidesteps
 materializing residues modulo the running LCM, which quickly becomes
-astronomically large, while staying exact.  The uncovered rest is kept
-the same way, as disjoint survivor classes, so the open classes of a
-modulus are read off the survivors instead of being proved covered one
-by one.
+astronomically large, while staying exact.
 
 A residue class here uses value semantics: the pattern b*k - c covers the
 integers congruent to -c (mod b).
@@ -54,11 +54,6 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _meets(a: ResidueClass, b: ResidueClass) -> bool:
-    g = math.gcd(a.modulus, b.modulus)
-    return a.residue % g == b.residue % g
-
-
 def _meeting(residues: set[int], modulus: int, m: int, rho: int) -> list[int]:
     """The residues in `residues` (all mod `modulus`) whose class meets rho mod m.
 
@@ -81,22 +76,21 @@ def _sorted_classes(by_modulus: dict[int, set[int]]) -> tuple[ResidueClass, ...]
 class CoverageLedger:
     """Disjoint union of residue classes with an exact running density.
 
-    Adding a class only ever grows the covered set by the members not
-    already covered: the incoming class is recursively refined against
-    the stored classes until each fragment is either contained in one of
-    them (contributing nothing) or disjoint from all (stored as is).
-
-    Beside the covered classes the ledger keeps the survivors: the
-    uncovered integers, also as disjoint residue classes.  They answer
-    which classes of a modulus are still open without touching the
-    covered classes.
+    The ledger keeps the survivors, the uncovered integers as disjoint
+    residue classes, from 0 mod 1 on.  Adding a class refines each
+    survivor that meets it one prime at a time until the piece inside the
+    class comes off; the other pieces stay survivors.  The pieces that come
+    off are the stored covered classes, and their density is the gain.
+    Refining the incoming class against the stored classes instead gives
+    the same classes on every search tried, but not in general: after
+    0 mod 2 and 9 mod 12, 5 mod 18 comes off as 5 and 23 mod 36.
+    Density and disjointness hold either way.
     """
 
     def __init__(self) -> None:
         self._by_modulus: dict[int, set[int]] = {}
         self._survivors: dict[int, set[int]] = {1: {0}}
         self._density = Fraction(0)
-        self._added_moduli_lcm = 1
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._by_modulus.values())
@@ -122,43 +116,15 @@ class CoverageLedger:
         """LCM of the stored (refined) moduli; 1 for an empty ledger."""
         return math.lcm(*self._by_modulus.keys()) if self._by_modulus else 1
 
-    def lcm_of_added_moduli(self) -> int:
-        """LCM of the moduli of every class ever passed to add_class."""
-        return self._added_moduli_lcm
-
-    # `met` holds the stored classes that meet r.  A stored class mod m2
-    # dividing r.modulus that meets r contains it; any other forces a split
-    # by a prime of m2/gcd, the smallest such prime being taken.  Fragments
-    # of r meet only stored classes that meet r, and the fragments stored
-    # on the way are disjoint from their siblings, so each child is refined
-    # against the part of `met` it meets.
-    def _add(self, r: ResidueClass, met: list[ResidueClass]) -> Fraction:
-        m, rho = r
-        split_prime = 0
-        for m2, _ in met:
-            if m % m2 == 0:
-                return Fraction(0)
-            p = _smallest_prime_factor(m2 // math.gcd(m, m2))
-            if split_prime == 0 or p < split_prime:
-                split_prime = p
-        if not split_prime:
-            self._by_modulus.setdefault(m, set()).add(rho)
-            return Fraction(1, m)
-        gain = Fraction(0)
-        for j in range(split_prime):
-            child = ResidueClass(m * split_prime, rho + j * m)
-            gain += self._add(child, [c for c in met if _meets(child, c)])
-        return gain
-
-    def _subtract(self, r: ResidueClass) -> None:
-        """Remove r from the survivors, refining each survivor that meets r
-        one prime at a time and keeping the pieces that miss r."""
-        m, rho = r
+    def add_class(self, r: ResidueClass) -> Fraction:
+        """Cover the members of r; returns the exact density gain."""
+        m, rho = residue_class(*r)
         hits = [
             (modulus, s)
             for modulus, residues in self._survivors.items()
             for s in _meeting(residues, modulus, m, rho)
         ]
+        gain = Fraction(0)
         for modulus, s in hits:
             self._survivors[modulus].discard(s)
             while modulus % m:  # s is not inside r yet
@@ -171,25 +137,11 @@ class CoverageLedger:
                     x for x in pieces if x != s
                 )
                 modulus = finer
+            self._by_modulus.setdefault(modulus, set()).add(s)
+            gain += Fraction(1, modulus)
         for modulus in [k for k, v in self._survivors.items() if not v]:
             del self._survivors[modulus]
-
-    def add_class(self, r: ResidueClass) -> Fraction:
-        """Cover the members of r; returns the exact density gain."""
-        r = residue_class(*r)
-        m, rho = r
-        self._added_moduli_lcm = math.lcm(self._added_moduli_lcm, m)
-        met = []
-        for m2, residues in self._by_modulus.items():
-            if m % m2 == 0:
-                if rho % m2 in residues:  # r lies inside a stored class
-                    return Fraction(0)
-            else:
-                met.extend(ResidueClass(m2, x) for x in _meeting(residues, m2, m, rho))
-        gain = self._add(r, met)
-        if gain:
-            self._density += gain
-            self._subtract(r)
+        self._density += gain
         return gain
 
     def covers(self, r: ResidueClass) -> bool:

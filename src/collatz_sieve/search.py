@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -498,11 +499,11 @@ def _sweep(
     registered, so it sees the registry frozen at the modulus boundary.
     """
     for modulus in _moduli(last_modulus, config.filter_3smooth, state.frontier_modulus):
+        open_residues = state.ledger.open_residues(modulus)
         if config.skip_covered:
             # Ascending open residues x are descending remainders b - x; they
             # are odd, because the seed covers the even numbers.
-            to_check = [PatternClass(modulus, modulus - x)
-                        for x in state.ledger.open_residues(modulus)]
+            to_check = [PatternClass(modulus, modulus - x) for x in open_residues]
         else:
             to_check = _classes_of(modulus)
         state.examined += modulus // 2
@@ -512,8 +513,14 @@ def _sweep(
         for traj in trajectories:
             state.registry.register(traj)
         new_records = [record for record in found if record is not None]
+        # A class closed at the modulus boundary would gain nothing, and the
+        # classes of one modulus are disjoint, so adding one leaves the others
+        # open or closed as they were: only records of open classes are added.
+        is_open = set(open_residues)
         for record in new_records:
-            state.ledger.add_class(from_pattern(record.pattern))
+            covered = from_pattern(record.pattern)
+            if covered.residue in is_open:
+                state.ledger.add_class(covered)
         state.records.extend(new_records)
         state.checkpoints.append((modulus, state.ledger.density()))
         yield modulus, new_records
@@ -522,7 +529,6 @@ def _sweep(
 def run_search(
     config: SearchConfig,
     ledger: CoverageLedger | None = None,
-    sink: Callable[[SuccessRecord], None] | None = None,
     after_batch: Callable[[BatchResult], None] | None = None,
     resume: ResumeState | None = None,
 ) -> SearchSummary:
@@ -530,10 +536,11 @@ def run_search(
 
     Every enumerated class is checked against the registry frozen at its
     modulus boundary, then registered; successes update the coverage
-    ledger and are passed to `sink` in canonical (modulus ascending,
-    remainder descending) order.  One density checkpoint is recorded per
-    processed modulus.  `after_batch` runs once per modulus, after the
-    checkpoint, and is where callers persist state.  A search resumed from
+    ledger.  One density checkpoint is recorded per processed modulus.
+    `after_batch` runs once per modulus, after the checkpoint, with the
+    records the modulus added in canonical (remainder descending) order;
+    it is where callers write results and persist state.  A fresh search
+    first reports modulus 2 with the seed's record.  A search resumed from
     `resume` extends its registry and ledger but leaves its record list,
     trail and counts as they were.
     """
@@ -552,9 +559,6 @@ def run_search(
         return record
 
     def publish(modulus: int, new_records: list[SuccessRecord]) -> None:
-        if sink is not None:
-            for record in new_records:
-                sink(record)
         if after_batch is not None:
             after_batch(
                 BatchResult(modulus, new_records, state.checkpoints, state.ledger,
@@ -578,7 +582,7 @@ def run_search(
         examined=state.examined,
         skipped=state.skipped,
         lcm_stored_moduli=state.ledger.lcm_of_moduli(),
-        lcm_pattern_moduli=state.ledger.lcm_of_added_moduli(),
+        lcm_pattern_moduli=math.lcm(*{rec.pattern.modulus for rec in state.records}),
         elapsed_seconds=time.perf_counter() - started,
     )
 

@@ -31,6 +31,7 @@ def test_search_prints_summary(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "final density 5/6 = 83.33333%" in text
     assert "lcm of stored moduli: 12" in text
+    assert "lcm of certified pattern moduli: 12" in text
 
 
 def test_report_tables(tmp_path, capsys):
@@ -381,4 +382,17 @@ def test_coverage_summary(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "density 5/6 = 83.33333%" in text
     assert "lcm of stored moduli: 12" in text
+    assert "lcm of certified pattern moduli: 12" in text
     assert "11 mod 12" in text
+
+
+def test_pattern_moduli_lcm_can_exceed_the_stored_one(tmp_path, capsys):
+    # 8k-7 and 8k-3 certify, but 1 and 5 mod 8 lie inside the covered 1 mod 4,
+    # so nothing mod 8 is stored
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 8, "--checkpoint", cp) == 0
+    assert run_cli("coverage", "--checkpoint", cp) == 0
+    search_text, coverage_text = capsys.readouterr().out.split("frontier modulus")
+    for text in (search_text, coverage_text):
+        assert "lcm of stored moduli: 12\n" in text
+        assert "lcm of certified pattern moduli: 24\n" in text

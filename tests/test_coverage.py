@@ -70,7 +70,6 @@ def test_lcm_of_moduli():
         [ResidueClass(2, 0), ResidueClass(4, 1), ResidueClass(6, 5)]
     )
     assert ledger.lcm_of_moduli() == 12
-    assert ledger.lcm_of_added_moduli() == 12
     assert CoverageLedger.from_classes([ResidueClass(2, 0)]).lcm_of_moduli() == 2
 
 
@@ -82,7 +81,6 @@ def test_lcm_headline_factorization():
 def test_stored_lcm_can_lag_added_lcm():
     ledger = CoverageLedger.from_classes([ResidueClass(2, 1), ResidueClass(4, 1)])
     assert ledger.lcm_of_moduli() == 2       # 1 mod 4 was swallowed by 1 mod 2
-    assert ledger.lcm_of_added_moduli() == 4
 
 
 def test_brute_force_density_examples():
@@ -207,6 +205,20 @@ def test_survivors_examples():
     assert ledger.add_class(ResidueClass(1, 0)) == Fraction(1, 6)
     assert ledger.survivors() == ()
     assert ledger.open_residues(8) == []
+
+    ledger = CoverageLedger.from_classes([ResidueClass(2, 0), ResidueClass(12, 9)])
+    assert ledger.survivors() == (
+        ResidueClass(4, 3), ResidueClass(12, 1), ResidueClass(12, 5))
+    # 5 mod 18 meets 3 mod 4 in 23 mod 36 and 5 mod 12 in 5 mod 36.  Refining
+    # 5 mod 18 against the stored classes instead would store it whole.
+    assert ledger.add_class(ResidueClass(18, 5)) == Fraction(1, 18)
+    assert ledger.stored_classes() == (
+        ResidueClass(2, 0), ResidueClass(12, 9), ResidueClass(36, 5), ResidueClass(36, 23))
+    assert ledger.survivors() == (
+        ResidueClass(12, 1), ResidueClass(12, 3), ResidueClass(12, 7),
+        ResidueClass(36, 11), ResidueClass(36, 17), ResidueClass(36, 29),
+        ResidueClass(36, 35))
+    assert ledger.density() == Fraction(23, 36)
 
 
 @settings(max_examples=150, deadline=None)
