@@ -30,6 +30,10 @@ class IndeterminateParityError(ValueError):
 class TrajectoryCapError(RuntimeError):
     """The proved trajectory-length bound was exceeded (internal bug)."""
 
+    def __init__(self, anchor: AffineForm, step_cap: int) -> None:
+        super().__init__(f"trajectory of {anchor} exceeded {step_cap} elements; "
+                         "the length bound is violated")
+
 
 class AffineForm(NamedTuple):
     """The function k -> coeff*k + offset, coeff >= 1, k ranging over 1, 2, ..."""
@@ -84,9 +88,9 @@ def v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def default_step_cap(anchor: AffineForm) -> int:
+def default_step_cap(coeff: int) -> int:
     # Proved bound is 2*v2(coeff) + 1 elements; slack catches bugs, not math.
-    return 2 * v2(anchor.coeff) + 8
+    return 2 * v2(coeff) + 8
 
 
 def build_trajectory(
@@ -100,20 +104,18 @@ def build_trajectory(
     result has at most 2*v2(anchor.coeff) + 1 elements.  The anchor is
     element 1.
     """
-    if anchor.coeff % 2 == 1:
-        raise ValueError(f"anchor must have an even coefficient, got {anchor}")
+    a, d = anchor
+    if a < 1 or a % 2:
+        raise ValueError(f"anchor must have an even coefficient >= 2, got {anchor}")
     if step_cap is None:
-        step_cap = default_step_cap(anchor)
+        step_cap = default_step_cap(a)
     elements = [anchor]
-    current = anchor
-    while current.coeff % 2 == 0:
+    while not a & 1:
         if len(elements) >= step_cap:
-            raise TrajectoryCapError(
-                f"trajectory of {anchor} exceeded {step_cap} elements; "
-                "the length bound is violated"
-            )
-        current = step(current)
-        elements.append(current)
+            raise TrajectoryCapError(anchor, step_cap)
+        # step() on ints; halving an even d is exact also when d < 0.
+        a, d = (3 * a, 3 * d + 1) if d & 1 else (a >> 1, d >> 1)
+        elements.append(AffineForm(a, d))
     return tuple(elements)
 
 

@@ -124,7 +124,7 @@ class CoverageLedger:
             for modulus, residues in self._survivors.items()
             for s in _meeting(residues, modulus, m, rho)
         ]
-        gain = Fraction(0)
+        came_off: dict[int, int] = {}  # modulus -> pieces stored at it
         for modulus, s in hits:
             self._survivors[modulus].discard(s)
             while modulus % m:  # s is not inside r yet
@@ -138,9 +138,10 @@ class CoverageLedger:
                 )
                 modulus = finer
             self._by_modulus.setdefault(modulus, set()).add(s)
-            gain += Fraction(1, modulus)
-        for modulus in [k for k, v in self._survivors.items() if not v]:
-            del self._survivors[modulus]
+            came_off[modulus] = came_off.get(modulus, 0) + 1
+        for emptied in {mod for mod, _ in hits if not self._survivors[mod]}:
+            del self._survivors[emptied]
+        gain = sum((Fraction(count, mod) for mod, count in came_off.items()), Fraction(0))
         self._density += gain
         return gain
 

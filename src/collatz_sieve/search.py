@@ -17,7 +17,11 @@ results independent of the order of the classes within the modulus.
 
 The registry stores no trajectory, only one bit per registered class and
 a Bloom filter over the last elements of their trajectories; a lookup
-walks the symbolic step backwards (see TrajectoryRegistry).
+walks the symbolic step backwards (see TrajectoryRegistry).  So a class
+needs only its trajectory's length, last element and first drop index,
+which `walk_class` computes on ints: a*k + d with a even has the parity
+of d for every k, so the offset alone decides each step.  Forms are built
+only for a join scan or to check a stored record in a replay.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
-from .affine import AffineForm, build_trajectory, evaluate, strictly_below
+from .affine import AffineForm, TrajectoryCapError, build_trajectory, default_step_cap
+from .affine import evaluate, strictly_below
 from .coverage import CoverageLedger, from_pattern
 
 
@@ -101,9 +106,41 @@ class TrajectoryPattern:
     anchor_class: PatternClass
     elements: tuple[AffineForm, ...]
 
+    length = property(lambda self: len(self.elements))
+    terminal = property(lambda self: self.elements[-1])
+
 
 def pattern_trajectory(cls: PatternClass, step_cap: int | None = None) -> TrajectoryPattern:
     return TrajectoryPattern(cls, build_trajectory(cls.anchor_form(), step_cap))
+
+
+class ClassWalk(NamedTuple):
+    """Length, last element and first drop index (0 if none) of a trajectory."""
+
+    anchor_class: PatternClass
+    length: int
+    terminal: AffineForm
+    drop_index: int
+
+
+def walk_class(cls: PatternClass, step_cap: int | None = None) -> ClassWalk:
+    """pattern_trajectory(cls) walked on ints, with build_trajectory's steps
+    and step_cap check.  Element i drops if strictly_below(it, anchor, 2):
+    for an anchor (b, -c), 2*(b - a) > d + c with a < b, as only element 1
+    has a = b (b*3^i/2^j = b forces i = j = 0) and it does not drop."""
+    b, c = cls
+    if step_cap is None:
+        step_cap = default_step_cap(b)
+    a, d = b, -c
+    length, drop = 1, 0
+    while not a & 1:
+        if length >= step_cap:
+            raise TrajectoryCapError(cls.anchor_form(), step_cap)
+        a, d = (3 * a, 3 * d + 1) if d & 1 else (a >> 1, d >> 1)
+        length += 1
+        if not drop and a < b and 2 * (b - a) > d + c:
+            drop = length
+    return ClassWalk(cls, length, AffineForm(a, d), drop)
 
 
 class DuplicateRegistrationError(ValueError):
@@ -176,6 +213,8 @@ class TrajectoryRegistry:
     function, so trajectories that share an element share their last one:
     a Bloom filter over the registered last elements tells, with no false
     negative, when no element of a trajectory is registered (`may_meet`).
+    So `register` and `may_meet` read only a length and a last element, as
+    a ClassWalk (or a TrajectoryPattern) carries them.
     """
 
     def __init__(self) -> None:
@@ -221,12 +260,12 @@ class TrajectoryRegistry:
         found.sort(key=lambda hit: (hit[0].modulus, -hit[0].remainder))
         return tuple(found)
 
-    def may_meet(self, traj: TrajectoryPattern) -> bool:
-        """False only if no element of traj is in a registered trajectory."""
-        return traj.elements[-1] in self._terminals
+    def may_meet(self, walk: ClassWalk | TrajectoryPattern) -> bool:
+        """False only if no element of walk's trajectory is registered."""
+        return walk.terminal in self._terminals
 
-    def register(self, traj: TrajectoryPattern) -> None:
-        b, c = cls = traj.anchor_class
+    def register(self, walk: ClassWalk | TrajectoryPattern) -> None:
+        b, c = cls = walk.anchor_class
         if c & 1 != (b > 2) or not 0 <= c < b or b % 2:
             raise ValueError(f"only the seed and odd remainders register, got {cls}")
         if self._holds(b, c):
@@ -235,9 +274,9 @@ class TrajectoryRegistry:
             self._checked[b] = bytearray((b + 15) // 16)
         self._checked[b][c >> 4] |= 1 << (c >> 1 & 7)
         self._classes += 1
-        self._entries += len(traj.elements)
+        self._entries += walk.length
         self._top = max(self._top, b)
-        self._terminals.add(traj.elements[-1])
+        self._terminals.add(walk.terminal)
         self._digest.update(f"{b},{c};".encode())
 
     def digest(self) -> str:
@@ -280,14 +319,14 @@ def enumerate_classes(max_modulus: int, filter_3smooth: bool = False) -> Iterato
 
 
 def _certify(
-    traj: TrajectoryPattern,
+    walk: ClassWalk,
     registry: TrajectoryRegistry,
     join_targets_3smooth: bool,
+    step_cap: int | None,
     numeric_step_cap: int,
 ) -> SuccessRecord | None:
-    cls = traj.anchor_class
-    anchor = traj.elements[0]
-    first_member = evaluate(anchor, 1)
+    cls = walk.anchor_class
+    first_member = cls.modulus - cls.remainder  # the anchor at k=1
     first_member_ok: bool | None = None  # lazy numeric check of the k=1 member
 
     def member_one_verified() -> bool:
@@ -298,18 +337,14 @@ def _certify(
             )
         return first_member_ok
 
-    # Drop scan over the whole trajectory first; joins are consulted only
-    # when no element ever gets below the anchor.  A drop certificate is
-    # self-contained, so it is preferred even over an earlier join.
-    for index, element in enumerate(traj.elements, start=1):
-        if strictly_below(element, anchor, 2):
-            if member_one_verified():
-                return SuccessRecord(cls, CertKind.DROP, index)
-            break  # the k=1 member cannot be settled, so no drop anywhere
-
-    if not registry.may_meet(traj):
+    # A drop certificate is self-contained, so it is preferred even over an
+    # earlier join; if the k=1 member cannot be settled there is no drop.
+    if walk.drop_index and member_one_verified():
+        return SuccessRecord(cls, CertKind.DROP, walk.drop_index)
+    if not registry.may_meet(walk):
         return None
-    for index, element in enumerate(traj.elements, start=1):
+    anchor = cls.anchor_form()
+    for index, element in enumerate(pattern_trajectory(cls, step_cap).elements, start=1):
         for prior_cls, prior_index in registry.lookup(element):
             if _join_target_ok(prior_cls, anchor, first_member, join_targets_3smooth,
                                member_one_verified):
@@ -340,12 +375,12 @@ def _join_target_ok(
 
 def _certificate_holds(
     record: SuccessRecord,
-    traj: TrajectoryPattern,
     registry: TrajectoryRegistry,
     config: "SearchConfig",
 ) -> bool:
     """Check a stored record against its class's trajectory and the registry
     frozen at its modulus, under the conditions `_certify` applies."""
+    traj = pattern_trajectory(record.pattern, config.step_cap)
     if record.stop_index > len(traj.elements):
         return False
     anchor = traj.elements[0]
@@ -372,15 +407,14 @@ def check_class(
 ) -> SuccessRecord | None:
     """Certify one class against the trajectories registered so far.
 
-    The whole trajectory is scanned for a drop first; only if no element
-    gets below the anchor are joins considered, in element order.  Returns
-    None if the class does not certify at this modulus.  The registry must
-    hold the trajectories of all classes from earlier moduli plus the
-    even-number seed.
+    A drop, which the walk finds, comes first; joins are tried, in element
+    order, only without one.  Returns None if the class does not certify at
+    this modulus.  The registry must hold the trajectories of all classes
+    from earlier moduli plus the even-number seed.
     """
     validate_pattern_class(cls)
-    traj = pattern_trajectory(cls, step_cap)
-    return _certify(traj, registry, join_targets_3smooth, numeric_step_cap)
+    return _certify(walk_class(cls, step_cap), registry, join_targets_3smooth, step_cap,
+                    numeric_step_cap)
 
 
 @dataclass(frozen=True)
@@ -489,7 +523,7 @@ def _sweep(
     config: SearchConfig,
     state: ResumeState,
     last_modulus: int,
-    record_for: Callable[[TrajectoryPattern], SuccessRecord | None],
+    record_for: Callable[[ClassWalk], SuccessRecord | None],
 ) -> Iterator[tuple[int, list[SuccessRecord]]]:
     """Advance `state` modulus by modulus from its frontier to last_modulus,
     yielding each modulus with the records it added.
@@ -508,10 +542,11 @@ def _sweep(
             to_check = _classes_of(modulus)
         state.examined += modulus // 2
         state.skipped += modulus // 2 - len(to_check)
-        trajectories = [pattern_trajectory(cls, config.step_cap) for cls in to_check]
-        found = [record_for(traj) for traj in trajectories]
-        for traj in trajectories:
-            state.registry.register(traj)
+        step_cap = default_step_cap(modulus) if config.step_cap is None else config.step_cap
+        walks = [walk_class(cls, step_cap) for cls in to_check]
+        found = [record_for(walk) for walk in walks]
+        for walk in walks:
+            state.registry.register(walk)
         new_records = [record for record in found if record is not None]
         # A class closed at the modulus boundary would gain nothing, and the
         # classes of one modulus are disjoint, so adding one leaves the others
@@ -546,10 +581,9 @@ def run_search(
     """
     started = time.perf_counter()
 
-    def certify(traj: TrajectoryPattern) -> SuccessRecord | None:
-        record = _certify(
-            traj, state.registry, config.join_targets_3smooth, config.numeric_step_cap
-        )
+    def certify(walk: ClassWalk) -> SuccessRecord | None:
+        record = _certify(walk, state.registry, config.join_targets_3smooth,
+                          config.step_cap, config.numeric_step_cap)
         if record is not None and config.k_verify:
             report = oracle.verify_success_record(
                 record, config.k_verify, config.numeric_step_cap
@@ -607,10 +641,9 @@ def rebuild_state(
     state = _seeded_state()
     stored = {record.pattern: record for record in records}
 
-    def replayed(traj: TrajectoryPattern) -> SuccessRecord | None:
-        record = stored.get(traj.anchor_class)
-        if record is not None and not _certificate_holds(record, traj, state.registry,
-                                                         config):
+    def replayed(walk: ClassWalk) -> SuccessRecord | None:
+        record = stored.get(walk.anchor_class)
+        if record is not None and not _certificate_holds(record, state.registry, config):
             b, c = record.pattern
             raise ReplayError(f"the stored certificate of {b}k-{c} does not hold")
         return record

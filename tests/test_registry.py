@@ -2,9 +2,11 @@
 
 `DictRegistry` stores each element of each registered trajectory with its
 class and element index, so its lookups are right by construction.  The
-search's `TrajectoryRegistry` stores no form at all; a search run with
-`CheckedRegistry` in its place answers every lookup both ways and fails on
-the first difference.
+search's `TrajectoryRegistry` stores no form at all, and the search hands it
+walks (length and last element) instead of trajectories; a search run with
+`CheckedRegistry` in its place feeds the dictionary the class's full
+trajectory, answers every lookup both ways and fails on the first
+difference.
 """
 
 import hashlib
@@ -41,8 +43,10 @@ class CheckedRegistry(TrajectoryRegistry):
         self.oracle = DictRegistry()
         CheckedRegistry.made.append(self)
 
-    def register(self, traj):
-        super().register(traj)
+    def register(self, walk):
+        super().register(walk)
+        traj = pattern_trajectory(walk.anchor_class)
+        assert (walk.length, walk.terminal) == (len(traj.elements), traj.elements[-1]), walk
         self.oracle.register(traj)
 
     def lookup(self, form):
@@ -50,9 +54,10 @@ class CheckedRegistry(TrajectoryRegistry):
         assert got == self.oracle.lookup(form), form
         return got
 
-    def may_meet(self, traj):
-        meets = super().may_meet(traj)
-        assert meets or not any(self.oracle.lookup(f) for f in traj.elements), traj
+    def may_meet(self, walk):
+        meets = super().may_meet(walk)
+        elements = pattern_trajectory(walk.anchor_class).elements
+        assert meets or not any(self.oracle.lookup(f) for f in elements), walk
         return meets
 
 

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatz_sieve import (
     AffineForm,
@@ -11,8 +12,10 @@ from collatz_sieve import (
     PatternClass,
     SearchConfig,
     SuccessRecord,
+    TrajectoryCapError,
     TrajectoryRegistry,
     analyze_moduli,
+    build_trajectory,
     check_class,
     enumerate_classes,
     format_percent,
@@ -21,10 +24,11 @@ from collatz_sieve import (
     pattern_trajectory,
     rebuild_state,
     run_search,
+    strictly_below,
     verify_success_record,
 )
 from collatz_sieve.cli import _record_to_row
-from collatz_sieve.search import DuplicateRegistrationError, seed_trajectory
+from collatz_sieve.search import DuplicateRegistrationError, seed_trajectory, walk_class
 
 
 def registry_through(max_modulus, filter_3smooth=False):
@@ -86,6 +90,37 @@ def test_check_class_18k5_joins_16k5():
     assert rec == SuccessRecord(
         PatternClass(18, 5), CertKind.JOIN, 1, PatternClass(16, 5), 6
     )
+
+
+anchors = st.one_of(
+    st.integers(1, 2**11).map(lambda half: 2 * half),
+    st.sampled_from([2**40 * 3**5, 2**64, 2 * 3**30, 2**17 * 5**9 * 7]),
+).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchors)
+def test_walk_matches_the_trajectory(anchor):
+    # Any 0 <= c < b, even remainders too: the walk only needs an even modulus.
+    b, c = anchor
+    elements = build_trajectory(AffineForm(b, -c))
+    walk = walk_class(PatternClass(b, c))
+    assert (walk.anchor_class, walk.length, walk.terminal) == (
+        (b, c), len(elements), elements[-1])
+    drops = [i for i, e in enumerate(elements, start=1)
+             if strictly_below(e, elements[0], 2)]
+    assert walk.drop_index == (drops[0] if drops else 0)
+    for step_cap in range(1, len(elements) + 2):
+        errors = []
+        for build in (lambda: build_trajectory(AffineForm(b, -c), step_cap),
+                      lambda: walk_class(PatternClass(b, c), step_cap)):
+            try:
+                build()
+            except TrajectoryCapError as exc:
+                errors.append(str(exc))
+        # Both raise, with the same message, or neither does.
+        assert len(errors) in (0, 2) and len(set(errors)) <= 1, (step_cap, errors)
+        assert bool(errors) == (step_cap < len(elements))
 
 
 def test_registry_examples():
