@@ -18,26 +18,30 @@ results independent of the order of the classes within the modulus.
 The registry stores no trajectory, only one bit per registered class and
 a Bloom filter over the last elements of their trajectories; a lookup
 walks the symbolic step backwards (see TrajectoryRegistry).  So a class
-needs only its trajectory's length, last element and first drop index,
-which `walk_class` computes on ints: a*k + d with a even has the parity
-of d for every k, so the offset alone decides each step.  Forms are built
-only for a join scan or to check a stored record in a replay.
+needs only its trajectory's length, last element and first drop index.
+`walk_modulus` computes them for a whole modulus b = 2^t*m on ints, with
+one walk per residue mod 2^t: a*k + d with a even has the parity of d for
+every k, and while a stays even that parity is the same for all classes
+of one residue.  Forms are built only for a join scan or to check a stored
+record in a replay.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
 from .affine import AffineForm, TrajectoryCapError, build_trajectory, default_step_cap
-from .affine import evaluate, strictly_below
+from .affine import evaluate, strictly_below, v2
 from .coverage import CoverageLedger, from_pattern
 
 
@@ -73,7 +77,7 @@ class CertKind(enum.Enum):
     JOIN = "join"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a run holds tens of thousands
 class SuccessRecord:
     """A certified class plus its certificate.
 
@@ -106,41 +110,66 @@ class TrajectoryPattern:
     anchor_class: PatternClass
     elements: tuple[AffineForm, ...]
 
-    length = property(lambda self: len(self.elements))
-    terminal = property(lambda self: self.elements[-1])
-
 
 def pattern_trajectory(cls: PatternClass, step_cap: int | None = None) -> TrajectoryPattern:
     return TrajectoryPattern(cls, build_trajectory(cls.anchor_form(), step_cap))
 
 
-class ClassWalk(NamedTuple):
-    """Length, last element and first drop index (0 if none) of a trajectory."""
+class ModulusWalk(NamedTuple):
+    """Trajectory length, last element (a, d) and first drop index (0 if
+    none) of each class b*k - c of one modulus, in the remainders' order."""
 
-    anchor_class: PatternClass
-    length: int
-    terminal: AffineForm
-    drop_index: int
+    modulus: int
+    remainders: Sequence[int]
+    lengths: list[int]
+    terminals: list[tuple[int, int]]
+    drops: list[int]
 
 
-def walk_class(cls: PatternClass, step_cap: int | None = None) -> ClassWalk:
-    """pattern_trajectory(cls) walked on ints, with build_trajectory's steps
-    and step_cap check.  Element i drops if strictly_below(it, anchor, 2):
-    for an anchor (b, -c), 2*(b - a) > d + c with a < b, as only element 1
-    has a = b (b*3^i/2^j = b forces i = j = 0) and it does not drop."""
-    b, c = cls
+def walk_modulus(modulus: int, remainders: Sequence[int],
+                 step_cap: int | None = None) -> ModulusWalk:
+    """pattern_trajectory(PatternClass(modulus, c)) for each c, on ints.
+
+    With b = 2^t*m, m odd, element i of (b, -c) is (b*3^o/2^j, (S - 3^o*c)/2^j)
+    for o, j, S set by the steps before it.  While j < t the coefficient is
+    even and the offset's parity depends on c mod 2^t only, so one walk per
+    residue r = c mod 2^t serves all its classes; the last element is
+    (m*3^o, (S - 3^o*c) >> t).  Element i is strictly_below(it, anchor, 2)
+    iff a < b and 2*(b - a) > d + c, that is c*D < N with D = 2^j - 3^o > 0
+    and N = 2*(b - a)*2^j - S (element 1, the only one with a = b, does not
+    drop), so a class drops first where the prefix maximum of ceil(N/D)
+    first exceeds c.  Raises build_trajectory's TrajectoryCapError at the
+    first class, in the given order, whose trajectory exceeds step_cap.
+    """
+    t = v2(modulus)
     if step_cap is None:
-        step_cap = default_step_cap(b)
-    a, d = b, -c
-    length, drop = 1, 0
-    while not a & 1:
-        if length >= step_cap:
-            raise TrajectoryCapError(cls.anchor_form(), step_cap)
-        a, d = (3 * a, 3 * d + 1) if d & 1 else (a >> 1, d >> 1)
-        length += 1
-        if not drop and a < b and 2 * (b - a) > d + c:
-            drop = length
-    return ClassWalk(cls, length, AffineForm(a, d), drop)
+        step_cap = default_step_cap(modulus)
+    groups: dict[int, tuple] = {}  # r: length, a, 3^o and S at the end, drop thresholds
+    lengths, terminals, drops = [], [], []
+    for c in remainders:
+        r = c & ((1 << t) - 1)
+        if r not in groups:
+            a, d, power, j, total, length = modulus, -r, 1, 0, 0, 1
+            bounds, indices = [], []
+            while not a & 1:
+                if d & 1:
+                    a, d, power, total = 3 * a, 3 * d + 1, 3 * power, 3 * total + (1 << j)
+                else:
+                    a, d, j = a >> 1, d >> 1, j + 1
+                length += 1
+                excess = (1 << j) - power  # D, positive iff a < modulus
+                bound = -((total - ((modulus - a) << (j + 1))) // excess) if excess > 0 else 0
+                if bound > (bounds[-1] if bounds else 0):  # a new prefix maximum of ceil(N/D)
+                    bounds.append(bound)
+                    indices.append(length)
+            if length > step_cap:  # c is the first class, in order, of this group
+                raise TrajectoryCapError(AffineForm(modulus, -c), step_cap)
+            groups[r] = length, a, power, total, bounds, indices + [0]
+        length, coeff, power, total, bounds, indices = groups[r]
+        lengths.append(length)
+        terminals.append((coeff, (total - power * c) >> t))
+        drops.append(indices[bisect_right(bounds, c)])
+    return ModulusWalk(modulus, remainders, lengths, terminals, drops)
 
 
 class DuplicateRegistrationError(ValueError):
@@ -162,32 +191,31 @@ class _BloomFilter:
         self._filters: list[tuple[bytearray, int]] = []  # (bits, bit mask)
         self._room = 0  # items the newest sub-filter still takes
 
-    @staticmethod
-    def _probes(item: object) -> tuple[int, int, int]:
-        h = hash(item)
-        step = (h >> 32) | 1
-        return h, h + step, h + 2 * step
-
-    def add(self, item: object) -> None:
-        if not self._room:
-            capacity = self._FIRST_CAPACITY << len(self._filters)
-            size = capacity * self._BITS_PER_ITEM
-            self._filters.append((bytearray(size // 8), size - 1))
-            self._room = capacity
-        bits, mask = self._filters[-1]
-        for p in self._probes(item):
-            p &= mask
-            bits[p >> 3] |= 1 << (p & 7)
-        self._room -= 1
+    def update(self, items: Sequence[object]) -> None:
+        while items:
+            if not self._room:
+                capacity = self._FIRST_CAPACITY << len(self._filters)
+                size = capacity * self._BITS_PER_ITEM
+                self._filters.append((bytearray(size // 8), size - 1))
+                self._room = capacity
+            bits, mask = self._filters[-1]
+            chunk, items = items[:self._room], items[self._room:]
+            self._room -= len(chunk)
+            for item in chunk:  # the probes of __contains__, unrolled
+                h = hash(item)
+                step = (h >> 32) | 1
+                p, q, r = h & mask, (h + step) & mask, (h + 2 * step) & mask
+                bits[p >> 3] |= 1 << (p & 7)
+                bits[q >> 3] |= 1 << (q & 7)
+                bits[r >> 3] |= 1 << (r & 7)
 
     def __contains__(self, item: object) -> bool:
-        probes = self._probes(item)
+        h = hash(item)
+        step = (h >> 32) | 1
         for bits, mask in self._filters:
-            for p in probes:
-                p &= mask
-                if not bits[p >> 3] >> (p & 7) & 1:
-                    break
-            else:
+            p, q, r = h & mask, (h + step) & mask, (h + 2 * step) & mask
+            if (bits[p >> 3] >> (p & 7) & 1 and bits[q >> 3] >> (q & 7) & 1
+                    and bits[r >> 3] >> (r & 7) & 1):
                 return True
         return False
 
@@ -213,15 +241,15 @@ class TrajectoryRegistry:
     function, so trajectories that share an element share their last one:
     a Bloom filter over the registered last elements tells, with no false
     negative, when no element of a trajectory is registered (`may_meet`).
-    So `register` and `may_meet` read only a length and a last element, as
-    a ClassWalk (or a TrajectoryPattern) carries them.
+    So `register` reads only lengths and last elements, a modulus at a time
+    as walk_modulus gives them, and `may_meet` only a last element.
     """
 
     def __init__(self) -> None:
         self._checked: dict[int, bytearray] = {}
         self._classes = 0
         self._entries = 0
-        self._top = 0  # largest registered modulus
+        self._top = 0  # largest modulus passed to register: a prune bound
         self._terminals = _BloomFilter()
         self._digest = hashlib.sha256()
 
@@ -260,24 +288,30 @@ class TrajectoryRegistry:
         found.sort(key=lambda hit: (hit[0].modulus, -hit[0].remainder))
         return tuple(found)
 
-    def may_meet(self, walk: ClassWalk | TrajectoryPattern) -> bool:
-        """False only if no element of walk's trajectory is registered."""
-        return walk.terminal in self._terminals
+    def may_meet(self, terminal: tuple[int, int]) -> bool:
+        """False only if no element of a trajectory ending at terminal is
+        registered."""
+        return terminal in self._terminals
 
-    def register(self, walk: ClassWalk | TrajectoryPattern) -> None:
-        b, c = cls = walk.anchor_class
-        if c & 1 != (b > 2) or not 0 <= c < b or b % 2:
-            raise ValueError(f"only the seed and odd remainders register, got {cls}")
-        if self._holds(b, c):
-            raise DuplicateRegistrationError(f"{cls} is already registered")
-        if b not in self._checked:
-            self._checked[b] = bytearray((b + 15) // 16)
-        self._checked[b][c >> 4] |= 1 << (c >> 1 & 7)
-        self._classes += 1
-        self._entries += walk.length
+    def register(self, walk: ModulusWalk) -> None:
+        """Register the classes of one modulus, all or none of them."""
+        b, remainders = walk.modulus, walk.remainders
+        held = self._checked.get(b)
+        bits = bytearray((b + 15) // 16) if held is None else bytearray(held)
+        for c in remainders:
+            if c & 1 != (b > 2) or not 0 <= c < b or b % 2:
+                raise ValueError(f"only the seed and odd remainders register, got "
+                                 f"{PatternClass(b, c)}")
+            if bits[c >> 4] >> (c >> 1 & 7) & 1:
+                raise DuplicateRegistrationError(f"{PatternClass(b, c)} is already registered")
+            bits[c >> 4] |= 1 << (c >> 1 & 7)
+        self._checked[b] = bits
+        self._classes += len(remainders)
+        self._entries += sum(walk.lengths)
         self._top = max(self._top, b)
-        self._terminals.add(walk.terminal)
-        self._digest.update(f"{b},{c};".encode())
+        self._terminals.update(walk.terminals)
+        # update(x); update(y) hashes as update(x + y): one call per modulus.
+        self._digest.update("".join([f"{b},{c};" for c in remainders]).encode())
 
     def digest(self) -> str:
         # Trajectories are a deterministic function of the class, so hashing
@@ -304,30 +338,36 @@ def _moduli(max_modulus: int, filter_3smooth: bool, start_after: int = 2) -> Ite
             yield modulus
 
 
-def _classes_of(modulus: int) -> list[PatternClass]:
-    """The classes of one modulus in canonical order: remainders descending
-    (smallest member values first)."""
-    return [PatternClass(modulus, r) for r in range(modulus - 1, 0, -2)]
-
-
 def enumerate_classes(max_modulus: int, filter_3smooth: bool = False) -> Iterator[PatternClass]:
     """Candidate classes up to max_modulus, one by one in canonical order."""
     if max_modulus < 4:
         raise ValueError(f"max_modulus must be >= 4, got {max_modulus}")
     for modulus in _moduli(max_modulus, filter_3smooth):
-        yield from _classes_of(modulus)
+        # Remainders descending: smallest member values first.
+        yield from (PatternClass(modulus, r) for r in range(modulus - 1, 0, -2))
 
 
 def _certify(
-    walk: ClassWalk,
+    b: int,
+    c: int,
+    drop_index: int,
+    terminal: tuple[int, int],
     registry: TrajectoryRegistry,
     join_targets_3smooth: bool,
     step_cap: int | None,
     numeric_step_cap: int,
 ) -> SuccessRecord | None:
-    cls = walk.anchor_class
-    first_member = cls.modulus - cls.remainder  # the anchor at k=1
+    first_member = b - c  # the anchor at k=1
     first_member_ok: bool | None = None  # lazy numeric check of the k=1 member
+    # A drop certificate is self-contained, so it is preferred even over an
+    # earlier join; if the k=1 member cannot be settled there is no drop.
+    if drop_index:
+        first_member_ok = oracle.drops_below_self_or_reaches_one(first_member,
+                                                                 numeric_step_cap)
+        if first_member_ok:
+            return SuccessRecord(PatternClass(b, c), CertKind.DROP, drop_index)
+    if not registry.may_meet(terminal):
+        return None
 
     def member_one_verified() -> bool:
         nonlocal first_member_ok
@@ -337,12 +377,7 @@ def _certify(
             )
         return first_member_ok
 
-    # A drop certificate is self-contained, so it is preferred even over an
-    # earlier join; if the k=1 member cannot be settled there is no drop.
-    if walk.drop_index and member_one_verified():
-        return SuccessRecord(cls, CertKind.DROP, walk.drop_index)
-    if not registry.may_meet(walk):
-        return None
+    cls = PatternClass(b, c)
     anchor = cls.anchor_form()
     for index, element in enumerate(pattern_trajectory(cls, step_cap).elements, start=1):
         for prior_cls, prior_index in registry.lookup(element):
@@ -385,17 +420,16 @@ def _certificate_holds(
         return False
     anchor = traj.elements[0]
     element = traj.elements[record.stop_index - 1]
+    first_member = evaluate(anchor, 1)
+    member_one_verified = functools.partial(oracle.drops_below_self_or_reaches_one,
+                                            first_member, config.numeric_step_cap)
     if record.kind is CertKind.DROP:
-        return strictly_below(element, anchor, 2)
+        return strictly_below(element, anchor, 2) and member_one_verified()
     assert record.joined_class is not None
     if (record.joined_class, record.join_index) not in registry.lookup(element):
         return False
-    first_member = evaluate(anchor, 1)
-    return _join_target_ok(
-        record.joined_class, anchor, first_member, config.join_targets_3smooth,
-        lambda: oracle.drops_below_self_or_reaches_one(first_member,
-                                                       config.numeric_step_cap),
-    )
+    return _join_target_ok(record.joined_class, anchor, first_member,
+                           config.join_targets_3smooth, member_one_verified)
 
 
 def check_class(
@@ -413,8 +447,9 @@ def check_class(
     from earlier moduli plus the even-number seed.
     """
     validate_pattern_class(cls)
-    return _certify(walk_class(cls, step_cap), registry, join_targets_3smooth, step_cap,
-                    numeric_step_cap)
+    walk = walk_modulus(cls.modulus, [cls.remainder], step_cap)
+    return _certify(*cls, walk.drops[0], walk.terminals[0], registry, join_targets_3smooth,
+                    step_cap, numeric_step_cap)
 
 
 @dataclass(frozen=True)
@@ -434,6 +469,8 @@ class SearchConfig:
             raise ValueError(f"max_modulus must be even and >= 2, got {self.max_modulus}")
         if self.step_cap is not None and self.step_cap < 1:
             raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
+        if self.numeric_step_cap < 1:
+            raise ValueError(f"numeric_step_cap must be >= 1, got {self.numeric_step_cap}")
         if self.k_verify < 0:
             raise ValueError(f"k_verify must be >= 0, got {self.k_verify}")
 
@@ -505,14 +542,10 @@ def seed_record() -> SuccessRecord:
     return SuccessRecord(SEED_CLASS, CertKind.DROP, 2)
 
 
-def seed_trajectory() -> TrajectoryPattern:
-    return TrajectoryPattern(SEED_CLASS, build_trajectory(SEED_CLASS.anchor_form()))
-
-
 def _seeded_state(ledger: CoverageLedger | None = None) -> ResumeState:
     """The state before the first modulus: the even-number seed alone."""
     registry = TrajectoryRegistry()
-    registry.register(seed_trajectory())
+    registry.register(walk_modulus(SEED_CLASS.modulus, [SEED_CLASS.remainder]))
     if ledger is None:
         ledger = CoverageLedger()
     ledger.add_class(from_pattern(SEED_CLASS))
@@ -523,13 +556,13 @@ def _sweep(
     config: SearchConfig,
     state: ResumeState,
     last_modulus: int,
-    record_for: Callable[[ClassWalk], SuccessRecord | None],
+    record_for: Callable[[int, int, int, tuple[int, int]], SuccessRecord | None],
 ) -> Iterator[tuple[int, list[SuccessRecord]]]:
     """Advance `state` modulus by modulus from its frontier to last_modulus,
     yielding each modulus with the records it added.
 
-    `record_for` gives the record of one checked class, or None.  It is
-    called for every checked class of a modulus before any of them is
+    `record_for(b, c, drop_index, terminal)` gives the record of class
+    b*k - c, or None.  It sees every class of a modulus before the modulus is
     registered, so it sees the registry frozen at the modulus boundary.
     """
     for modulus in _moduli(last_modulus, config.filter_3smooth, state.frontier_modulus):
@@ -537,16 +570,15 @@ def _sweep(
         if config.skip_covered:
             # Ascending open residues x are descending remainders b - x; they
             # are odd, because the seed covers the even numbers.
-            to_check = [PatternClass(modulus, modulus - x) for x in open_residues]
+            remainders: Sequence[int] = [modulus - x for x in open_residues]
         else:
-            to_check = _classes_of(modulus)
+            remainders = range(modulus - 1, 0, -2)
         state.examined += modulus // 2
-        state.skipped += modulus // 2 - len(to_check)
-        step_cap = default_step_cap(modulus) if config.step_cap is None else config.step_cap
-        walks = [walk_class(cls, step_cap) for cls in to_check]
-        found = [record_for(walk) for walk in walks]
-        for walk in walks:
-            state.registry.register(walk)
+        state.skipped += modulus // 2 - len(remainders)
+        walk = walk_modulus(modulus, remainders, config.step_cap)
+        found = [record_for(modulus, c, drop, terminal)
+                 for c, drop, terminal in zip(remainders, walk.drops, walk.terminals)]
+        state.registry.register(walk)
         new_records = [record for record in found if record is not None]
         # A class closed at the modulus boundary would gain nothing, and the
         # classes of one modulus are disjoint, so adding one leaves the others
@@ -581,17 +613,6 @@ def run_search(
     """
     started = time.perf_counter()
 
-    def certify(walk: ClassWalk) -> SuccessRecord | None:
-        record = _certify(walk, state.registry, config.join_targets_3smooth,
-                          config.step_cap, config.numeric_step_cap)
-        if record is not None and config.k_verify:
-            report = oracle.verify_success_record(
-                record, config.k_verify, config.numeric_step_cap
-            )
-            if not report.ok:
-                raise CertificateError(record, report)
-        return record
-
     def publish(modulus: int, new_records: list[SuccessRecord]) -> None:
         if after_batch is not None:
             after_batch(
@@ -606,7 +627,15 @@ def run_search(
         state = dataclasses.replace(
             resume, records=list(resume.records), checkpoints=list(resume.checkpoints)
         )
+    certify = functools.partial(_certify, registry=state.registry,
+                                join_targets_3smooth=config.join_targets_3smooth,
+                                step_cap=config.step_cap, numeric_step_cap=config.numeric_step_cap)
     for modulus, new_records in _sweep(config, state, config.max_modulus, certify):
+        for record in new_records if config.k_verify else ():
+            report = oracle.verify_success_record(record, config.k_verify,
+                                                  config.numeric_step_cap)
+            if not report.ok:
+                raise CertificateError(record, report)
         publish(modulus, new_records)
 
     return SearchSummary(
@@ -641,8 +670,8 @@ def rebuild_state(
     state = _seeded_state()
     stored = {record.pattern: record for record in records}
 
-    def replayed(walk: ClassWalk) -> SuccessRecord | None:
-        record = stored.get(walk.anchor_class)
+    def replayed(b: int, c: int, drop: int, terminal: tuple[int, int]) -> SuccessRecord | None:
+        record = stored.get((b, c))  # a PatternClass equals its tuple
         if record is not None and not _certificate_holds(record, state.registry, config):
             b, c = record.pattern
             raise ReplayError(f"the stored certificate of {b}k-{c} does not hold")

@@ -37,12 +37,10 @@ from collatz_sieve import (
     check_class,
     collatz_step,
     delta_report,
-    enumerate_classes,
     evaluate,
     longest_modified_stop,
     modified_stopping_time,
     parity,
-    pattern_trajectory,
     rounded_percent,
     run_search,
     step,
@@ -53,7 +51,7 @@ from collatz_sieve import (
     visited_values_through,
 )
 from collatz_sieve.cli import main as cli_main
-from collatz_sieve.search import seed_trajectory
+from collatz_sieve.search import _moduli, walk_modulus
 
 
 def _report(criterion, ok, detail):
@@ -102,12 +100,8 @@ def test_criterion_1_hand_examples():
 
 def test_criterion_2_worked_examples():
     t0 = time.perf_counter()
-    registry = TrajectoryRegistry()
-    registry.register(seed_trajectory())
-    for cls in enumerate_classes(16):
-        registry.register(pattern_trajectory(cls))
     drop = check_class(PatternClass(16, 13), _registry_through(14))
-    join = check_class(PatternClass(18, 5), registry)
+    join = check_class(PatternClass(18, 5), _registry_through(16))
     elapsed = time.perf_counter() - t0
     ok = (
         drop == SuccessRecord(PatternClass(16, 13), CertKind.DROP, 7)
@@ -121,10 +115,9 @@ def test_criterion_2_worked_examples():
 
 def _registry_through(max_modulus):
     registry = TrajectoryRegistry()
-    registry.register(seed_trajectory())
-    if max_modulus >= 4:
-        for cls in enumerate_classes(max_modulus):
-            registry.register(pattern_trajectory(cls))
+    registry.register(walk_modulus(2, [0]))
+    for modulus in _moduli(max_modulus, False):
+        registry.register(walk_modulus(modulus, range(modulus - 1, 0, -2)))
     return registry
 
 

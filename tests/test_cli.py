@@ -289,6 +289,39 @@ def test_unreadable_journals_are_rejected(tmp_path, capsys, damage, message):
         assert message in capsys.readouterr().err
 
 
+def _set_numeric_step_cap(path, value):
+    header, rest = path.read_text().split("\n", 1)
+    doc = json.loads(header)
+    doc["config"]["numeric_step_cap"] = value
+    path.write_text(json.dumps(doc) + "\n" + rest)
+
+
+def test_replay_settles_the_first_member_of_drop_records(tmp_path, capsys):
+    # A search to 64 with numeric_step_cap 1 certifies 17 drops, not 153: few
+    # first members b - c fall below themselves in one step, so the drops of
+    # the others are not certificates under that header.
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp) == 0
+    _set_numeric_step_cap(cp, 1)
+    capsys.readouterr()
+    for command in (["report"], ["coverage"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        captured = capsys.readouterr()
+        assert "certificate of 8k-3 does not hold" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_numeric_step_cap_below_one_cannot_be_replayed(tmp_path, capsys, value):
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 16, "--checkpoint", cp) == 0
+    _set_numeric_step_cap(cp, value)
+    capsys.readouterr()
+    for command in (["report"], ["coverage"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        assert "cannot be replayed: numeric_step_cap must be >= 1" in capsys.readouterr().err
+
+
 def test_resume_requires_checkpoint_flag(capsys):
     assert run_cli("search", "--max-modulus", 16, "--resume") == 2
 

@@ -3,10 +3,10 @@
 `DictRegistry` stores each element of each registered trajectory with its
 class and element index, so its lookups are right by construction.  The
 search's `TrajectoryRegistry` stores no form at all, and the search hands it
-walks (length and last element) instead of trajectories; a search run with
-`CheckedRegistry` in its place feeds the dictionary the class's full
-trajectory, answers every lookup both ways and fails on the first
-difference.
+one modulus at a time as `walk_modulus` gives it (lengths and last
+elements) instead of trajectories; a search run with `CheckedRegistry` in
+its place feeds the dictionary each class's full trajectory, answers every
+lookup both ways and fails on the first difference.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from collatz_sieve import AffineForm, PatternClass, SearchConfig, pattern_trajectory, run_search
 from collatz_sieve import search
-from collatz_sieve.search import TrajectoryRegistry
+from collatz_sieve.search import TrajectoryRegistry, _moduli, walk_modulus
 
 
 class DictRegistry:
@@ -44,21 +44,23 @@ class CheckedRegistry(TrajectoryRegistry):
         CheckedRegistry.made.append(self)
 
     def register(self, walk):
+        trajectories = []
+        for c, length, terminal in zip(walk.remainders, walk.lengths, walk.terminals,
+                                       strict=True):
+            traj = pattern_trajectory(PatternClass(walk.modulus, c))
+            assert (length, terminal) == (len(traj.elements), traj.elements[-1]), traj
+            # The registry is still as the search's Bloom probes saw it.
+            assert self.may_meet(terminal) or not any(
+                self.oracle.lookup(f) for f in traj.elements), traj
+            trajectories.append(traj)
         super().register(walk)
-        traj = pattern_trajectory(walk.anchor_class)
-        assert (walk.length, walk.terminal) == (len(traj.elements), traj.elements[-1]), walk
-        self.oracle.register(traj)
+        for traj in trajectories:
+            self.oracle.register(traj)
 
     def lookup(self, form):
         got = super().lookup(form)
         assert got == self.oracle.lookup(form), form
         return got
-
-    def may_meet(self, walk):
-        meets = super().may_meet(walk)
-        elements = pattern_trajectory(walk.anchor_class).elements
-        assert meets or not any(self.oracle.lookup(f) for f in elements), walk
-        return meets
 
 
 forms = st.builds(AffineForm, st.integers(1, 600), st.integers(-700, 300))
@@ -87,7 +89,29 @@ def test_registry_answers_like_the_dictionary(half, filter_3smooth, skip_covered
 
 def test_registry_takes_only_the_seed_and_odd_remainders():
     registry = TrajectoryRegistry()
-    for cls in (PatternClass(2, 1), PatternClass(4, 2), PatternClass(6, 0)):
+    for b, remainders in ((2, [1]), (4, [2]), (6, [0]), (6, [5, 3, 0, 1])):
         with pytest.raises(ValueError):
-            registry.register(pattern_trajectory(cls))
+            registry.register(walk_modulus(b, remainders))
     assert len(registry) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 150), st.booleans(), st.lists(forms, max_size=60))
+def test_one_batch_per_modulus_registers_like_one_class_batches(half, filter_3smooth,
+                                                                extra_forms):
+    batched, single = TrajectoryRegistry(), TrajectoryRegistry()
+    terminals = list(extra_forms)
+    # Small Bloom sub-filters, so that batches straddle their growth.
+    with mock.patch.object(search._BloomFilter, "_FIRST_CAPACITY", 16):
+        for modulus in [2, *_moduli(2 * half, filter_3smooth)]:
+            walk = walk_modulus(modulus, [0] if modulus == 2 else range(modulus - 1, 0, -2))
+            terminals += walk.terminals
+            batched.register(walk)
+            for c in walk.remainders:
+                single.register(walk_modulus(modulus, [c]))
+            assert (len(batched), batched.entry_count(), batched.digest()) == (
+                len(single), single.entry_count(), single.digest())
+    # The classes of the next moduli are not registered, so some probes miss.
+    for modulus in range(2 * half + 2, 2 * half + 40, 2):
+        terminals += walk_modulus(modulus, range(modulus - 1, 0, -2)).terminals
+    assert [batched.may_meet(t) for t in terminals] == [single.may_meet(t) for t in terminals]

@@ -1,12 +1,14 @@
 import hashlib
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatz_sieve import (
     AffineForm,
+    CertificateError,
     CertKind,
     CoverageLedger,
     PatternClass,
@@ -14,6 +16,7 @@ from collatz_sieve import (
     SuccessRecord,
     TrajectoryCapError,
     TrajectoryRegistry,
+    VerificationReport,
     analyze_moduli,
     build_trajectory,
     check_class,
@@ -28,18 +31,23 @@ from collatz_sieve import (
     verify_success_record,
 )
 from collatz_sieve.cli import _record_to_row
-from collatz_sieve.search import DuplicateRegistrationError, seed_trajectory, walk_class
+from collatz_sieve import oracle
+from collatz_sieve.affine import v2
+from collatz_sieve.search import DuplicateRegistrationError, _moduli, walk_modulus
 
 
 def registry_through(max_modulus, filter_3smooth=False):
     # Everything strictly below the next batch: seed plus all classes with
     # modulus <= max_modulus, registered in canonical order.
     registry = TrajectoryRegistry()
-    registry.register(seed_trajectory())
-    if max_modulus >= 4:
-        for cls in enumerate_classes(max_modulus, filter_3smooth):
-            registry.register(pattern_trajectory(cls))
+    registry.register(walk_modulus(2, [0]))
+    for modulus in _moduli(max_modulus, filter_3smooth):
+        registry.register(walk_modulus(modulus, range(modulus - 1, 0, -2)))
     return registry
+
+
+def register_class(registry, b, c):
+    registry.register(walk_modulus(b, [c]))
 
 
 def test_enumerate_classes_unfiltered():
@@ -92,43 +100,63 @@ def test_check_class_18k5_joins_16k5():
     )
 
 
-anchors = st.one_of(
-    st.integers(1, 2**11).map(lambda half: 2 * half),
-    st.sampled_from([2**40 * 3**5, 2**64, 2 * 3**30, 2**17 * 5**9 * 7]),
-).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b - 1)))
+@st.composite
+def modulus_batches(draw):
+    """An even modulus b = 2^t*m and remainders 0 <= c < b in random order,
+    odd and even, with several remainders per residue mod 2^t."""
+    b = draw(st.one_of(
+        st.integers(1, 2**11).map(lambda half: 2 * half),
+        st.sampled_from([2**40 * 3**5, 2**64, 2 * 3**30, 2**17 * 5**9 * 7]),
+    ))
+    t = v2(b)
+    remainders = set(draw(st.lists(st.integers(0, b - 1), max_size=3)))
+    for r in draw(st.lists(st.integers(0, 2**t - 1), min_size=1, max_size=3)):
+        multiples = st.integers(0, (b - 1 - r) >> t)
+        remainders.update(r + (k << t) for k in draw(st.lists(multiples, min_size=1,
+                                                             max_size=4)))
+    return b, draw(st.permutations(sorted(remainders)))
+
+
+def first_cap_error(b, remainders, step_cap):
+    """The message of the first error a per-class build_trajectory loop raises."""
+    try:
+        for c in remainders:
+            build_trajectory(AffineForm(b, -c), step_cap)
+    except TrajectoryCapError as exc:
+        return str(exc)
+    return None
 
 
 @settings(max_examples=300, deadline=None)
-@given(anchors)
-def test_walk_matches_the_trajectory(anchor):
-    # Any 0 <= c < b, even remainders too: the walk only needs an even modulus.
-    b, c = anchor
-    elements = build_trajectory(AffineForm(b, -c))
-    walk = walk_class(PatternClass(b, c))
-    assert (walk.anchor_class, walk.length, walk.terminal) == (
-        (b, c), len(elements), elements[-1])
-    drops = [i for i, e in enumerate(elements, start=1)
-             if strictly_below(e, elements[0], 2)]
-    assert walk.drop_index == (drops[0] if drops else 0)
-    for step_cap in range(1, len(elements) + 2):
-        errors = []
-        for build in (lambda: build_trajectory(AffineForm(b, -c), step_cap),
-                      lambda: walk_class(PatternClass(b, c), step_cap)):
-            try:
-                build()
-            except TrajectoryCapError as exc:
-                errors.append(str(exc))
-        # Both raise, with the same message, or neither does.
-        assert len(errors) in (0, 2) and len(set(errors)) <= 1, (step_cap, errors)
-        assert bool(errors) == (step_cap < len(elements))
+@given(modulus_batches())
+def test_walk_matches_the_trajectory(batch):
+    # Even remainders too: the walk only needs an even modulus.
+    b, remainders = batch
+    walk = walk_modulus(b, remainders)
+    assert (walk.modulus, list(walk.remainders)) == (b, remainders)
+    for c, length, terminal, drop in zip(remainders, walk.lengths, walk.terminals,
+                                         walk.drops, strict=True):
+        elements = build_trajectory(AffineForm(b, -c))
+        assert (length, terminal) == (len(elements), elements[-1]), c
+        drops = [i for i, e in enumerate(elements, start=1)
+                 if strictly_below(e, elements[0], 2)]
+        assert drop == (drops[0] if drops else 0), c
+    for step_cap in range(1, max(walk.lengths) + 2):
+        try:
+            walk_modulus(b, remainders, step_cap)
+            error = None
+        except TrajectoryCapError as exc:
+            error = str(exc)
+        # The same message names the same class: the first one over the cap.
+        assert error == first_cap_error(b, remainders, step_cap), step_cap
 
 
 def test_registry_examples():
     registry = TrajectoryRegistry()
-    registry.register(pattern_trajectory(PatternClass(4, 1)))
+    register_class(registry, 4, 1)
     assert registry.lookup(AffineForm(6, -1)) == ((PatternClass(4, 1), 3),)
     assert registry.lookup(AffineForm(5, 5)) == ()
-    registry.register(pattern_trajectory(PatternClass(96, 25)))
+    register_class(registry, 96, 25)
     assert registry.lookup(AffineForm(486, -122)) == ((PatternClass(96, 25), 9),)
 
 
@@ -142,8 +170,8 @@ def test_registry_lookup_skips_even_remainders():
 
 def test_registry_lookup_keeps_registration_order():
     registry = TrajectoryRegistry()
-    registry.register(pattern_trajectory(PatternClass(4, 1)))
-    registry.register(pattern_trajectory(PatternClass(6, 1)))
+    register_class(registry, 4, 1)
+    register_class(registry, 6, 1)
     assert registry.lookup(AffineForm(6, -1)) == (
         (PatternClass(4, 1), 3), (PatternClass(6, 1), 1),
     )
@@ -163,9 +191,13 @@ def test_join_target_restriction():
 
 def test_registry_rejects_duplicates():
     registry = TrajectoryRegistry()
-    registry.register(pattern_trajectory(PatternClass(4, 1)))
+    register_class(registry, 4, 1)
     with pytest.raises(DuplicateRegistrationError):
-        registry.register(pattern_trajectory(PatternClass(4, 1)))
+        register_class(registry, 4, 1)
+    # A batch registers all of its classes or none of them.
+    with pytest.raises(DuplicateRegistrationError):
+        registry.register(walk_modulus(6, [5, 3, 5]))
+    assert (len(registry), registry.lookup(AffineForm(6, -5))) == (1, ())
 
 
 def test_run_search_to_6():
@@ -220,6 +252,29 @@ def test_skip_covered_search_to_4096_is_pinned():
         "7a5f2d2a47b5d39656f724c8eb0829d867bec0a914527f92bbd99f5b60c5f3bd")
 
 
+@pytest.mark.parametrize("config, digests", [
+    (SearchConfig(max_modulus=512), (
+        "2b23102c6f97e018a7c68b864b5b540d390c3bbd9e09e964cdec28cfca3df8f2",
+        "4913bd3a0356f394e0dc57bd68763c4b4bc0909faaa386bfadff4e94ee26bf73",
+        "c343229d8bed7aafe1c0c4b7a409ca23dee9f14eb668112c006b964cca4ebfd7")),
+    (SearchConfig(max_modulus=600, skip_covered=True), (
+        "c944d172c7c9707e0da15b4d373d119711c55f3dc171074e540810292133c673",
+        "d204a8762135e7822e6538fbd75490be5c22dc33a33b0b6cfe7e2d14923b226b",
+        "373a0fac34f384518657170fbb80c129998f8120579f94f1eb0ac194610578c7")),
+], ids=["unfiltered-512", "skip-covered-600"])
+def test_unfiltered_search_rows_are_pinned(config, digests):
+    # SHA-256 of the record rows and of the density trail, and the registry
+    # digest, of the search before the walk was shared per 2-adic group: a
+    # wrong stop index or join target changes the rows, not the counts.
+    registries = []
+    summary = run_search(config, after_batch=lambda b: registries.append(b.registry))
+    rows = [_record_to_row(r) for r in summary.records]
+    trail = [[m, str(d)] for m, d in summary.checkpoints]
+    assert (hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
+            hashlib.sha256(json.dumps(trail).encode()).hexdigest(),
+            registries[-1].digest()) == digests
+
+
 def test_filtered_skip_covered_search_to_2pow15_is_pinned():
     summary = run_search(SearchConfig(max_modulus=2**15, filter_3smooth=True,
                                       skip_covered=True))
@@ -231,6 +286,20 @@ def test_filtered_skip_covered_search_to_2pow15_is_pinned():
 def test_run_search_k_verify_smoke():
     summary = run_search(SearchConfig(max_modulus=24, k_verify=50))
     assert summary.success_count > 0
+
+
+def test_k_verify_failure_stops_before_the_modulus_is_published():
+    def verify(record, k_max, step_cap):
+        ok = record.pattern != PatternClass(12, 1)
+        return VerificationReport(k_max, ok, None if ok else 1, "forged")
+
+    published = []
+    with mock.patch.object(oracle, "verify_success_record", verify):
+        with pytest.raises(CertificateError) as raised:
+            run_search(SearchConfig(max_modulus=24, k_verify=5),
+                       after_batch=lambda batch: published.append(batch.modulus))
+    assert raised.value.record.pattern == PatternClass(12, 1)
+    assert published == [2, 4, 6, 8, 10]
 
 
 def test_registry_completeness_after_run():
