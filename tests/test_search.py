@@ -149,6 +149,7 @@ def test_walk_matches_the_trajectory(batch):
             error = str(exc)
         # The same message names the same class: the first one over the cap.
         assert error == first_cap_error(b, remainders, step_cap), step_cap
+        assert (error is not None) == (step_cap < max(walk.lengths)), step_cap
 
 
 def test_registry_examples():
