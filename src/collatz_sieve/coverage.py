@@ -187,17 +187,6 @@ def brute_force_density(classes: Iterable[ResidueClass], L: int) -> Fraction:
     return Fraction(sum(covered), L)
 
 
-def format_percent(value: Fraction, decimals: int = 5) -> str:
-    """Exact half-up rounding of a fraction of 1 to a percent string."""
-    scale = 10**decimals
-    num = value.numerator * 100 * scale
-    q, rem = divmod(num, value.denominator)
-    if 2 * rem >= value.denominator:
-        q += 1
-    whole, frac_part = divmod(q, scale)
-    return f"{whole}.{frac_part:0{decimals}d}%"
-
-
 def rounded_percent(value: Fraction, decimals: int = 5) -> Fraction:
     """The percent value after exact half-up rounding to `decimals` places."""
     scale = 10**decimals
@@ -206,6 +195,13 @@ def rounded_percent(value: Fraction, decimals: int = 5) -> Fraction:
     if 2 * rem >= value.denominator:
         q += 1
     return Fraction(q, scale)
+
+
+def format_percent(value: Fraction, decimals: int = 5) -> str:
+    """Exact half-up rounding of a fraction of 1 to a percent string."""
+    scale = 10**decimals
+    whole, frac_part = divmod(int(rounded_percent(value, decimals) * scale), scale)
+    return f"{whole}.{frac_part:0{decimals}d}%"
 
 
 class DeltaReport(NamedTuple):

@@ -22,8 +22,11 @@ needs only its trajectory's length, last element and first drop index.
 `walk_modulus` computes them for a whole modulus b = 2^t*m on ints, with
 one walk per residue mod 2^t: a*k + d with a even has the parity of d for
 every k, and while a stays even that parity is the same for all classes
-of one residue.  Forms are built only for a join scan or to check a stored
-record in a replay.
+of one residue.  Forms are built only for a join scan.
+
+`_certify` alone decides what a class's certificate is.  The search writes
+what it returns, and the replay behind a resume or a report keeps a stored
+record only if it equals what `_certify` returns for that class.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
 from .affine import AffineForm, TrajectoryCapError, build_trajectory, default_step_cap
-from .affine import evaluate, strictly_below, v2
+from .affine import strictly_below, v2
 from .coverage import CoverageLedger, from_pattern
 
 
@@ -357,10 +360,17 @@ def _certify(
     step_cap: int | None,
     numeric_step_cap: int,
 ) -> SuccessRecord | None:
+    """The record the search writes for class b*k - c, or None; the replay
+    re-derives stored records with it.  drop_index and terminal come from
+    walk_modulus, and the registry is frozen at the modulus.  A drop, which
+    needs the k=1 member settled numerically, is self-contained and comes
+    first.  Then joins, in element order, into the first registered class
+    (of a 3-smooth modulus, with join_targets_3smooth) whose anchor is
+    pointwise below from k=2 and, at k=1, smaller, or equal with the k=1
+    member settled.
+    """
     first_member = b - c  # the anchor at k=1
-    first_member_ok: bool | None = None  # lazy numeric check of the k=1 member
-    # A drop certificate is self-contained, so it is preferred even over an
-    # earlier join; if the k=1 member cannot be settled there is no drop.
+    first_member_ok: bool | None = None  # the lazy numeric check of that member
     if drop_index:
         first_member_ok = oracle.drops_below_self_or_reaches_one(first_member,
                                                                  numeric_step_cap)
@@ -368,68 +378,20 @@ def _certify(
             return SuccessRecord(PatternClass(b, c), CertKind.DROP, drop_index)
     if not registry.may_meet(terminal):
         return None
-
-    def member_one_verified() -> bool:
-        nonlocal first_member_ok
-        if first_member_ok is None:
-            first_member_ok = oracle.drops_below_self_or_reaches_one(
-                first_member, numeric_step_cap
-            )
-        return first_member_ok
-
     cls = PatternClass(b, c)
     anchor = cls.anchor_form()
     for index, element in enumerate(pattern_trajectory(cls, step_cap).elements, start=1):
         for prior_cls, prior_index in registry.lookup(element):
-            if _join_target_ok(prior_cls, anchor, first_member, join_targets_3smooth,
-                               member_one_verified):
+            if (join_targets_3smooth and not is_3smooth_even(prior_cls.modulus)
+                    or not strictly_below(prior_cls.anchor_form(), anchor, 2)):
+                continue
+            prior_first = prior_cls.modulus - prior_cls.remainder
+            if prior_first == first_member and first_member_ok is None:
+                first_member_ok = oracle.drops_below_self_or_reaches_one(first_member,
+                                                                         numeric_step_cap)
+            if prior_first < first_member or (prior_first == first_member and first_member_ok):
                 return SuccessRecord(cls, CertKind.JOIN, index, prior_cls, prior_index)
     return None
-
-
-def _join_target_ok(
-    prior_cls: PatternClass,
-    anchor: AffineForm,
-    first_member: int,
-    join_targets_3smooth: bool,
-    member_one_verified: Callable[[], bool],
-) -> bool:
-    """Whether a registered class may serve as join target for the class
-    with this anchor: its anchor is pointwise below from k=2, and at k=1 it
-    is smaller, or equal with the k=1 member settled numerically."""
-    if join_targets_3smooth and not is_3smooth_even(prior_cls.modulus):
-        return False
-    prior_anchor = prior_cls.anchor_form()
-    if not strictly_below(prior_anchor, anchor, 2):
-        return False
-    prior_first = evaluate(prior_anchor, 1)
-    return prior_first < first_member or (
-        prior_first == first_member and member_one_verified()
-    )
-
-
-def _certificate_holds(
-    record: SuccessRecord,
-    registry: TrajectoryRegistry,
-    config: "SearchConfig",
-) -> bool:
-    """Check a stored record against its class's trajectory and the registry
-    frozen at its modulus, under the conditions `_certify` applies."""
-    traj = pattern_trajectory(record.pattern, config.step_cap)
-    if record.stop_index > len(traj.elements):
-        return False
-    anchor = traj.elements[0]
-    element = traj.elements[record.stop_index - 1]
-    first_member = evaluate(anchor, 1)
-    member_one_verified = functools.partial(oracle.drops_below_self_or_reaches_one,
-                                            first_member, config.numeric_step_cap)
-    if record.kind is CertKind.DROP:
-        return strictly_below(element, anchor, 2) and member_one_verified()
-    assert record.joined_class is not None
-    if (record.joined_class, record.join_index) not in registry.lookup(element):
-        return False
-    return _join_target_ok(record.joined_class, anchor, first_member,
-                           config.join_targets_3smooth, member_one_verified)
 
 
 def check_class(
@@ -485,7 +447,8 @@ class CertificateError(RuntimeError):
 
 
 class ReplayError(ValueError):
-    """A stored record's certificate does not hold in the replay."""
+    """A stored record is not the certificate the search derives for its
+    class in the replay."""
 
 
 @dataclass
@@ -593,6 +556,14 @@ def _sweep(
         yield modulus, new_records
 
 
+def _certifier(config: SearchConfig, registry: TrajectoryRegistry
+               ) -> Callable[[int, int, int, tuple[int, int]], SuccessRecord | None]:
+    """_certify under config's settings, as `_sweep`'s record_for."""
+    return functools.partial(_certify, registry=registry,
+                             join_targets_3smooth=config.join_targets_3smooth,
+                             step_cap=config.step_cap, numeric_step_cap=config.numeric_step_cap)
+
+
 def run_search(
     config: SearchConfig,
     ledger: CoverageLedger | None = None,
@@ -627,10 +598,8 @@ def run_search(
         state = dataclasses.replace(
             resume, records=list(resume.records), checkpoints=list(resume.checkpoints)
         )
-    certify = functools.partial(_certify, registry=state.registry,
-                                join_targets_3smooth=config.join_targets_3smooth,
-                                step_cap=config.step_cap, numeric_step_cap=config.numeric_step_cap)
-    for modulus, new_records in _sweep(config, state, config.max_modulus, certify):
+    for modulus, new_records in _sweep(config, state, config.max_modulus,
+                                       _certifier(config, state.registry)):
         for record in new_records if config.k_verify else ():
             report = oracle.verify_success_record(record, config.k_verify,
                                                   config.numeric_step_cap)
@@ -658,23 +627,25 @@ def rebuild_state(
     """Replay a search up to frontier_modulus from its records alone.
 
     The replay runs the search's own sweep, but takes each checked class's
-    record from `records` (looked up by pattern) instead of certifying it,
-    and never runs the `k_verify` brute force.  Each record it takes must
-    still hold against its class's trajectory and the registry frozen at
-    its modulus, or ReplayError is raised.  Trajectories are a pure function
-    of the class, so the registry, ledger, density trail and counts come out
-    exactly as the search left them, skip-covered decisions included.  The
-    returned records are the stored ones the replay reached, in canonical
-    order; stored records it never reached are left out.
+    record from `records` (looked up by pattern), and never runs the
+    `k_verify` brute force.  A record it takes must equal what the search
+    derives for its class: `_certify`, under `config`, on the class's walk
+    and the registry frozen at its modulus; otherwise ReplayError is raised.
+    A class with no stored record is not certified.  Trajectories are a pure
+    function of the class, so the registry, ledger, density trail and counts
+    come out exactly as the search left them, skip-covered decisions
+    included.  The returned records are the stored ones the replay reached,
+    in canonical order; stored records it never reached are left out.
     """
     state = _seeded_state()
     stored = {record.pattern: record for record in records}
+    certify = _certifier(config, state.registry)
 
     def replayed(b: int, c: int, drop: int, terminal: tuple[int, int]) -> SuccessRecord | None:
         record = stored.get((b, c))  # a PatternClass equals its tuple
-        if record is not None and not _certificate_holds(record, state.registry, config):
-            b, c = record.pattern
-            raise ReplayError(f"the stored certificate of {b}k-{c} does not hold")
+        if record is not None and record != (derived := certify(b, c, drop, terminal)):
+            raise ReplayError(f"the stored certificate of {b}k-{c} does not hold; "
+                              f"the search derives {derived or 'no certificate'}")
         return record
 
     for _ in _sweep(config, state, frontier_modulus, replayed):

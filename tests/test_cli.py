@@ -94,13 +94,15 @@ def test_resume_is_byte_identical(tmp_path):
 def test_resume_with_filter_and_skip_covered(tmp_path):
     a_csv, a_cp = tmp_path / "a.csv", tmp_path / "a.json"
     b_csv, b_cp = tmp_path / "b.csv", tmp_path / "b.json"
-    flags = ["--filter-3smooth", "on", "--skip-covered"]
-    run_cli("search", "--max-modulus", 192, "--out", a_csv, "--checkpoint", a_cp, *flags)
-    run_cli("search", "--max-modulus", 64, "--out", b_csv, "--checkpoint", b_cp, *flags)
-    assert run_cli("search", "--max-modulus", 192, "--out", b_csv,
-                   "--checkpoint", b_cp, "--resume", *flags) == 0
-    assert filecmp.cmp(a_csv, b_csv, shallow=False)
-    assert filecmp.cmp(a_cp, b_cp, shallow=False)
+    for flags in (["--filter-3smooth", "on", "--skip-covered"], ["--join-targets-3smooth"],
+                  ["--skip-covered", "--join-targets-3smooth"]):
+        run_cli("search", "--max-modulus", 192, "--out", a_csv, "--checkpoint", a_cp, *flags)
+        run_cli("search", "--max-modulus", 64, "--out", b_csv, "--checkpoint", b_cp, *flags)
+        assert run_cli("search", "--max-modulus", 192, "--out", b_csv,
+                       "--checkpoint", b_cp, "--resume", *flags) == 0, flags
+        assert filecmp.cmp(a_csv, b_csv, shallow=False), flags
+        assert filecmp.cmp(a_cp, b_cp, shallow=False), flags
+        assert run_cli("report", "--checkpoint", b_cp) == 0, flags
 
 
 def test_resume_rejects_config_mismatch(tmp_path, capsys):
@@ -196,6 +198,20 @@ def test_report_and_coverage_reject_a_bogus_certificate(tmp_path, capsys, row, b
         assert run_cli(*command, "--checkpoint", cp) == 2
         captured = capsys.readouterr()
         assert f"certificate of {row[0]}k-{row[1]} does not hold" in captured.err
+        assert captured.out == ""
+
+
+def test_replay_rejects_a_sound_certificate_the_search_does_not_write(tmp_path, capsys):
+    # Element 5 of 8k-3, 3k-1, is below the anchor too, but the search writes
+    # the first drop, 6k-2 at element 4.
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    _edit_journal(cp, _replace_row([8, 3, 4, None, None, None], [8, 3, 5, None, None, None]))
+    capsys.readouterr()
+    for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        captured = capsys.readouterr()
+        assert "certificate of 8k-3 does not hold" in captured.err
         assert captured.out == ""
 
 
@@ -400,6 +416,16 @@ def test_stoptimes_range(capsys):
 
 def test_stoptimes_memory_guard(capsys):
     assert run_cli("stoptimes", "--range", 10000, "--max-visited", 10) == 3
+
+
+@pytest.mark.parametrize("flags, coeff, cap", [
+    (["--max-modulus", 64, "--step-cap", 6], 8, 6),
+    (["--max-modulus", 300, "--skip-covered", "--step-cap", 12], 64, 12),
+], ids=["unfiltered", "skip-covered"])
+def test_search_step_cap_breach(capsys, flags, coeff, cap):
+    assert run_cli("search", *flags) == 3
+    assert (f"cap breached: trajectory of AffineForm(coeff={coeff}, offset=-1) "
+            f"exceeded {cap} elements") in capsys.readouterr().err
 
 
 def test_stoptimes_needs_work(capsys):

@@ -31,7 +31,7 @@ from collatz_sieve import (
     verify_success_record,
 )
 from collatz_sieve.cli import _record_to_row
-from collatz_sieve import oracle
+from collatz_sieve import oracle, search
 from collatz_sieve.affine import v2
 from collatz_sieve.search import DuplicateRegistrationError, _moduli, walk_modulus
 
@@ -320,6 +320,17 @@ def test_rebuild_state_replays_exactly():
     registry, ledger = state.registry, state.ledger
     assert registry.digest() == trail[-1][1]
     assert ledger.density() == summary.final_density
+
+
+def test_replay_builds_forms_only_for_join_records():
+    # Drops are settled from the walk; only a join needs its trajectory's forms.
+    config = SearchConfig(max_modulus=512)
+    records = run_search(config).records
+    joins = sum(record.kind is CertKind.JOIN for record in records)
+    with mock.patch.object(search, "pattern_trajectory",
+                           wraps=search.pattern_trajectory) as built:
+        rebuild_state(config, 512, records)
+    assert built.call_count == joins == 2997
 
 
 def test_records_verify_to_1000():
