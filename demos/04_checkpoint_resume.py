@@ -7,9 +7,11 @@ per modulus with the records it added, its density, the class counts and
 the registry digest.  Resuming replays the search from those records (the
 registry is a pure function of which classes were registered), checks the
 replay against every density, the counts and the last digest, and appends
-from there; a last line torn by a kill is dropped first.  The final
-results file and journal are byte-identical to those of an uninterrupted
-run.  `report` and `coverage` read a journal through the same replay.
+from there; a last line torn by a kill is dropped first.  The results CSV
+is a view of the records, written once the search finishes, so a resumed
+run writes it whole.  It and the journal are byte-identical to those of an
+uninterrupted run.  `report` and `coverage` read a journal through the same
+replay.
 """
 
 import filecmp

@@ -48,9 +48,8 @@ from .search import (
     CertificateError,
     ModuliReport,
     PatternClass,
-    ResumeState,
     SearchConfig,
-    SearchSummary,
+    SearchState,
     SuccessRecord,
     TrajectoryPattern,
     TrajectoryRegistry,

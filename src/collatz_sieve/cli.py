@@ -7,15 +7,15 @@ Exit codes: 0 success, 1 verification failure (including "no certificate"),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import math
 import os
 import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from . import oracle
 from .affine import TrajectoryCapError
@@ -25,8 +25,8 @@ from .search import (
     CertKind,
     PatternClass,
     ReplayError,
-    ResumeState,
     SearchConfig,
+    SearchState,
     SuccessRecord,
     _moduli,
     analyze_moduli,
@@ -66,7 +66,7 @@ def _config_echo(config: SearchConfig) -> dict:
         "filter_3smooth": config.filter_3smooth,
         "skip_covered": config.skip_covered,
         "join_targets_3smooth": config.join_targets_3smooth,
-        "step_cap": config.step_cap,
+        "step_cap": None,  # the trajectory cap is always the proved bound plus slack
         "numeric_step_cap": config.numeric_step_cap,
         "k_verify": config.k_verify,
     }
@@ -168,12 +168,12 @@ def load_checkpoint(path: str) -> Journal:
             entries.append(_decode_entry(line))
         except ValueError as exc:
             raise CheckpointError(f"line {number} of checkpoint {path} is malformed: {exc}")
-    # each header value must have the type of its field; step_cap may be null
-    echo, kinds = header.get("config"), _config_echo(SearchConfig(max_modulus=2, step_cap=1))
+    # each header value must have the type of its field, so step_cap is null
+    echo, kinds = header.get("config"), _config_echo(SearchConfig(max_modulus=2))
     if not (isinstance(echo, dict) and echo.keys() == kinds.keys() and all(
-            type(value) is type(kinds[key]) or (key == "step_cap" and value is None)
-            for key, value in echo.items())):
+            type(value) is type(kinds[key]) for key, value in echo.items())):
         raise CheckpointError(f"checkpoint {path} has a malformed configuration header")
+    del echo["step_cap"]
     try:
         config = SearchConfig(max_modulus=entries[-1].modulus if entries else 2, **echo)
     except ValueError as exc:
@@ -189,13 +189,12 @@ def _build_config(args) -> SearchConfig:
         filter_3smooth=(args.filter_3smooth == "on"),
         skip_covered=args.skip_covered,
         join_targets_3smooth=args.join_targets_3smooth,
-        step_cap=args.step_cap,
         k_verify=args.k_verify,
     )
 
 
 def _restore(path: str, config: SearchConfig | None = None
-             ) -> tuple[Journal, ResumeState | None]:
+             ) -> tuple[Journal, SearchState | None]:
     """Load a journal and replay it with its own configuration; every command
     that reads a run comes here.  The replay must reproduce the journal's
     density trail, records, counts and registry digest, and callers take the
@@ -246,54 +245,49 @@ def cmd_search(args) -> int:
             fh.write(_encode({"config": _config_echo(config),
                               "format_version": CHECKPOINT_VERSION}))
 
-    out_fh = open(args.out, "w", newline="") if args.out else None
-    writer = csv.writer(out_fh) if out_fh is not None else None
+    def after_batch(state: SearchState) -> None:
+        save_checkpoint(args.checkpoint, JournalEntry(
+            state.frontier_modulus, state.new_records, state.final_density,
+            state.examined, state.skipped, state.registry.digest(),
+        ))
 
-    def write_rows(records: list[SuccessRecord]) -> None:
-        if writer is not None:
-            writer.writerows(["" if v is None else v for v in _record_to_row(rec)]
-                             for rec in records)
+    # The CSV is a view of the finished run's records, opened first so that a
+    # path that cannot be written fails before any work.
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as out:
+        state = run_search(config, after_batch=after_batch if args.checkpoint else None,
+                           resume=resume_state)
+        if out is not None:
+            _emit_table(map(_record_cells, state.records), CSV_HEADER, "csv", out)
 
-    if writer is not None:
-        writer.writerow(CSV_HEADER)
-    write_rows(resume_state.records if resume_state is not None else [])
-
-    def after_batch(batch) -> None:
-        write_rows(batch.new_records)
-        if out_fh is not None:
-            out_fh.flush()
-        if args.checkpoint:
-            save_checkpoint(args.checkpoint, JournalEntry(
-                batch.modulus, batch.new_records, batch.checkpoints[-1][1],
-                batch.examined, batch.skipped, batch.registry.digest(),
-            ))
-
-    try:
-        summary = run_search(config, after_batch=after_batch, resume=resume_state)
-    finally:
-        if out_fh is not None:
-            out_fh.close()
-
-    pct = format_percent(summary.final_density)
-    print(f"examined {summary.examined} classes "
+    print(f"examined {state.examined} classes "
           f"(skip-covered {'on' if config.skip_covered else 'off'}, "
-          f"skipped {summary.skipped})")
-    print(f"certified {summary.success_count} classes")
-    print(f"final density {summary.final_density} = {pct}")
-    print(f"lcm of stored moduli: {summary.lcm_stored_moduli}")
-    print(f"lcm of certified pattern moduli: {summary.lcm_pattern_moduli}")
-    print(f"elapsed {summary.elapsed_seconds:.1f}s")
+          f"skipped {state.skipped})")
+    print(f"certified {state.success_count} classes")
+    print(f"final density {state.final_density} = {format_percent(state.final_density)}")
+    print(f"lcm of stored moduli: {state.lcm_stored_moduli}")
+    print(f"lcm of certified pattern moduli: {state.lcm_pattern_moduli}")
+    print(f"elapsed {state.elapsed_seconds:.1f}s")
     return EXIT_OK
 
 
 # -------------------------------------------------------------------- report
 
-def _emit_table(rows: list[list[str]], header: list[str], fmt: str) -> None:
+def _record_cells(rec: SuccessRecord, missing: str = "") -> list[str]:
+    """A record as a row of the records table: the results CSV, and
+    `report`'s last table."""
+    return [missing if v is None else str(v) for v in _record_to_row(rec)]
+
+
+def _emit_table(rows: Iterable[list[str]], header: list[str], fmt: str,
+                file: IO[str] | None = None) -> None:
+    """Write a table to file (standard output by default); csv streams the
+    rows as they come."""
     if fmt == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(file or sys.stdout)
         writer.writerow(header)
         writer.writerows(rows)
         return
+    rows = list(rows)
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(header)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
@@ -313,12 +307,8 @@ def cmd_report(args) -> int:
             for t, g in rep.between_rows]
     _emit_table(rows, ["factor range", "pct complete change"], args.format)
     print()
-    rows = []
-    for rec in records:
-        row = _record_to_row(rec)
-        rows.append([("-" if args.format == "text" else "") if v is None else str(v)
-                     for v in row])
-    _emit_table(rows, CSV_HEADER, args.format)
+    missing = "-" if args.format == "text" else ""
+    _emit_table([_record_cells(rec, missing) for rec in records], CSV_HEADER, args.format)
     if args.laws:
         print()
         _emit_laws(records, args.format)
@@ -444,14 +434,13 @@ def cmd_coverage(args) -> int:
     _, state = _restore(args.checkpoint)
     if state is None:
         raise CheckpointError(f"checkpoint {args.checkpoint} records no modulus yet")
-    ledger, classes = state.ledger, state.ledger.stored_classes()
+    classes = state.ledger.stored_classes()
     print(f"frontier modulus: {state.frontier_modulus}")
-    print(f"certified classes: {len(state.records)}")
+    print(f"certified classes: {state.success_count}")
     print(f"disjoint residue classes: {len(classes)}")
-    print(f"density {ledger.density()} = {format_percent(ledger.density())}")
-    print(f"lcm of stored moduli: {ledger.lcm_of_moduli()}")
-    print(f"lcm of certified pattern moduli: "
-          f"{math.lcm(*{rec.pattern.modulus for rec in state.records})}")
+    print(f"density {state.final_density} = {format_percent(state.final_density)}")
+    print(f"lcm of stored moduli: {state.lcm_stored_moduli}")
+    print(f"lcm of certified pattern moduli: {state.lcm_pattern_moduli}")
     if args.classes:
         for m, r in classes:
             print(f"  {r} mod {m}")
@@ -477,13 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "(faster; thins the join registry)")
     p.add_argument("--join-targets-3smooth", action="store_true",
                    help="only join into trajectories with 2^t*3^s moduli")
-    p.add_argument("--step-cap", type=int, default=None,
-                   help="symbolic trajectory cap (default: proved bound + slack)")
     p.add_argument("--k-verify", type=int, default=0,
                    help="brute-force verify each record for k=1..N (0 = off)")
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--out", metavar="PATH", help="results CSV")
+    p.add_argument("--out", metavar="PATH",
+                   help="results CSV, written once the search finishes (empty if it "
+                        "stops early; --resume writes it whole)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("report", help="progress tables from a checkpoint")

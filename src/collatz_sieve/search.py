@@ -114,8 +114,8 @@ class TrajectoryPattern:
     elements: tuple[AffineForm, ...]
 
 
-def pattern_trajectory(cls: PatternClass, step_cap: int | None = None) -> TrajectoryPattern:
-    return TrajectoryPattern(cls, build_trajectory(cls.anchor_form(), step_cap))
+def pattern_trajectory(cls: PatternClass) -> TrajectoryPattern:
+    return TrajectoryPattern(cls, build_trajectory(cls.anchor_form()))
 
 
 class ModulusWalk(NamedTuple):
@@ -357,7 +357,6 @@ def _certify(
     terminal: tuple[int, int],
     registry: TrajectoryRegistry,
     join_targets_3smooth: bool,
-    step_cap: int | None,
     numeric_step_cap: int,
 ) -> SuccessRecord | None:
     """The record the search writes for class b*k - c, or None; the replay
@@ -380,7 +379,7 @@ def _certify(
         return None
     cls = PatternClass(b, c)
     anchor = cls.anchor_form()
-    for index, element in enumerate(pattern_trajectory(cls, step_cap).elements, start=1):
+    for index, element in enumerate(pattern_trajectory(cls).elements, start=1):
         for prior_cls, prior_index in registry.lookup(element):
             if (join_targets_3smooth and not is_3smooth_even(prior_cls.modulus)
                     or not strictly_below(prior_cls.anchor_form(), anchor, 2)):
@@ -398,7 +397,6 @@ def check_class(
     cls: PatternClass,
     registry: TrajectoryRegistry,
     join_targets_3smooth: bool = False,
-    step_cap: int | None = None,
     numeric_step_cap: int = oracle.DEFAULT_STEP_CAP,
 ) -> SuccessRecord | None:
     """Certify one class against the trajectories registered so far.
@@ -409,9 +407,9 @@ def check_class(
     from earlier moduli plus the even-number seed.
     """
     validate_pattern_class(cls)
-    walk = walk_modulus(cls.modulus, [cls.remainder], step_cap)
+    walk = walk_modulus(cls.modulus, [cls.remainder])
     return _certify(*cls, walk.drops[0], walk.terminals[0], registry, join_targets_3smooth,
-                    step_cap, numeric_step_cap)
+                    numeric_step_cap)
 
 
 @dataclass(frozen=True)
@@ -422,15 +420,12 @@ class SearchConfig:
     filter_3smooth: bool = False
     skip_covered: bool = False
     join_targets_3smooth: bool = False
-    step_cap: int | None = None
     numeric_step_cap: int = oracle.DEFAULT_STEP_CAP
     k_verify: int = 0
 
     def __post_init__(self) -> None:
         if self.max_modulus < 2 or self.max_modulus % 2:
             raise ValueError(f"max_modulus must be even and >= 2, got {self.max_modulus}")
-        if self.step_cap is not None and self.step_cap < 1:
-            raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
         if self.numeric_step_cap < 1:
             raise ValueError(f"numeric_step_cap must be >= 1, got {self.numeric_step_cap}")
         if self.k_verify < 0:
@@ -452,24 +447,14 @@ class ReplayError(ValueError):
 
 
 @dataclass
-class BatchResult:
-    """State handed to the after_batch hook once a modulus is finished."""
+class SearchState:
+    """A search at a modulus boundary.
 
-    modulus: int
-    new_records: list[SuccessRecord]
-    checkpoints: list[tuple[int, Fraction]]
-    ledger: CoverageLedger
-    registry: TrajectoryRegistry
-    examined: int
-    skipped: int
-
-
-@dataclass
-class ResumeState:
-    """Search state at a modulus boundary, as a search resumes from it.
-
-    The density trail holds one point per processed modulus, so its last
-    point names the frontier.
+    `run_search` and `rebuild_state` return it, and `after_batch` sees it
+    after each modulus.  The density trail holds one point per processed
+    modulus, so its last point names the frontier; new_records are the
+    records the frontier modulus added, in canonical (remainder descending)
+    order.
     """
 
     records: list[SuccessRecord]
@@ -478,26 +463,28 @@ class ResumeState:
     ledger: CoverageLedger
     examined: int
     skipped: int
+    new_records: list[SuccessRecord]
+    elapsed_seconds: float = 0.0
 
     @property
     def frontier_modulus(self) -> int:
         return self.checkpoints[-1][0]
 
-
-@dataclass
-class SearchSummary:
-    records: list[SuccessRecord]
-    checkpoints: list[tuple[int, Fraction]]
-    final_density: Fraction
-    examined: int
-    skipped: int
-    lcm_stored_moduli: int
-    lcm_pattern_moduli: int
-    elapsed_seconds: float
+    @property
+    def final_density(self) -> Fraction:
+        return self.ledger.density()
 
     @property
     def success_count(self) -> int:
         return len(self.records)
+
+    @property
+    def lcm_stored_moduli(self) -> int:
+        return self.ledger.lcm_of_moduli()
+
+    @property
+    def lcm_pattern_moduli(self) -> int:
+        return math.lcm(*{record.pattern.modulus for record in self.records})
 
 
 def seed_record() -> SuccessRecord:
@@ -505,24 +492,24 @@ def seed_record() -> SuccessRecord:
     return SuccessRecord(SEED_CLASS, CertKind.DROP, 2)
 
 
-def _seeded_state(ledger: CoverageLedger | None = None) -> ResumeState:
+def _seeded_state() -> SearchState:
     """The state before the first modulus: the even-number seed alone."""
     registry = TrajectoryRegistry()
     registry.register(walk_modulus(SEED_CLASS.modulus, [SEED_CLASS.remainder]))
-    if ledger is None:
-        ledger = CoverageLedger()
+    ledger = CoverageLedger()
     ledger.add_class(from_pattern(SEED_CLASS))
-    return ResumeState([seed_record()], [(2, ledger.density())], registry, ledger, 0, 0)
+    return SearchState([seed_record()], [(2, ledger.density())], registry, ledger, 0, 0,
+                       [seed_record()])
 
 
 def _sweep(
     config: SearchConfig,
-    state: ResumeState,
+    state: SearchState,
     last_modulus: int,
     record_for: Callable[[int, int, int, tuple[int, int]], SuccessRecord | None],
-) -> Iterator[tuple[int, list[SuccessRecord]]]:
+) -> Iterator[None]:
     """Advance `state` modulus by modulus from its frontier to last_modulus,
-    yielding each modulus with the records it added.
+    yielding after each modulus.
 
     `record_for(b, c, drop_index, terminal)` gives the record of class
     b*k - c, or None.  It sees every class of a modulus before the modulus is
@@ -538,7 +525,7 @@ def _sweep(
             remainders = range(modulus - 1, 0, -2)
         state.examined += modulus // 2
         state.skipped += modulus // 2 - len(remainders)
-        walk = walk_modulus(modulus, remainders, config.step_cap)
+        walk = walk_modulus(modulus, remainders)
         found = [record_for(modulus, c, drop, terminal)
                  for c, drop, terminal in zip(remainders, walk.drops, walk.terminals)]
         state.registry.register(walk)
@@ -552,8 +539,9 @@ def _sweep(
             if covered.residue in is_open:
                 state.ledger.add_class(covered)
         state.records.extend(new_records)
+        state.new_records = new_records
         state.checkpoints.append((modulus, state.ledger.density()))
-        yield modulus, new_records
+        yield
 
 
 def _certifier(config: SearchConfig, registry: TrajectoryRegistry
@@ -561,69 +549,51 @@ def _certifier(config: SearchConfig, registry: TrajectoryRegistry
     """_certify under config's settings, as `_sweep`'s record_for."""
     return functools.partial(_certify, registry=registry,
                              join_targets_3smooth=config.join_targets_3smooth,
-                             step_cap=config.step_cap, numeric_step_cap=config.numeric_step_cap)
+                             numeric_step_cap=config.numeric_step_cap)
 
 
 def run_search(
     config: SearchConfig,
-    ledger: CoverageLedger | None = None,
-    after_batch: Callable[[BatchResult], None] | None = None,
-    resume: ResumeState | None = None,
-) -> SearchSummary:
-    """Drive the full sieve up to config.max_modulus.
+    after_batch: Callable[[SearchState], None] | None = None,
+    resume: SearchState | None = None,
+) -> SearchState:
+    """Drive the full sieve up to config.max_modulus; returns the run's state.
 
     Every enumerated class is checked against the registry frozen at its
     modulus boundary, then registered; successes update the coverage
     ledger.  One density checkpoint is recorded per processed modulus.
     `after_batch` runs once per modulus, after the checkpoint, with the
-    records the modulus added in canonical (remainder descending) order;
-    it is where callers write results and persist state.  A fresh search
-    first reports modulus 2 with the seed's record.  A search resumed from
-    `resume` extends its registry and ledger but leaves its record list,
-    trail and counts as they were.
+    state, whose new_records are what the modulus added; it is where callers
+    persist the run.  A fresh search first reports modulus 2 with the seed's
+    record.  A search resumed from `resume` extends its registry and ledger
+    but leaves its record list, trail and counts as they were.
     """
     started = time.perf_counter()
-
-    def publish(modulus: int, new_records: list[SuccessRecord]) -> None:
-        if after_batch is not None:
-            after_batch(
-                BatchResult(modulus, new_records, state.checkpoints, state.ledger,
-                            state.registry, state.examined, state.skipped)
-            )
-
     if resume is None:
-        state = _seeded_state(ledger)
-        publish(2, list(state.records))
+        state = _seeded_state()
+        if after_batch is not None:
+            after_batch(state)
     else:
         state = dataclasses.replace(
             resume, records=list(resume.records), checkpoints=list(resume.checkpoints)
         )
-    for modulus, new_records in _sweep(config, state, config.max_modulus,
-                                       _certifier(config, state.registry)):
-        for record in new_records if config.k_verify else ():
+    for _ in _sweep(config, state, config.max_modulus, _certifier(config, state.registry)):
+        for record in state.new_records if config.k_verify else ():
             report = oracle.verify_success_record(record, config.k_verify,
                                                   config.numeric_step_cap)
             if not report.ok:
                 raise CertificateError(record, report)
-        publish(modulus, new_records)
-
-    return SearchSummary(
-        records=state.records,
-        checkpoints=state.checkpoints,
-        final_density=state.ledger.density(),
-        examined=state.examined,
-        skipped=state.skipped,
-        lcm_stored_moduli=state.ledger.lcm_of_moduli(),
-        lcm_pattern_moduli=math.lcm(*{rec.pattern.modulus for rec in state.records}),
-        elapsed_seconds=time.perf_counter() - started,
-    )
+        if after_batch is not None:
+            after_batch(state)
+    state.elapsed_seconds = time.perf_counter() - started
+    return state
 
 
 def rebuild_state(
     config: SearchConfig,
     frontier_modulus: int,
     records: Sequence[SuccessRecord],
-) -> ResumeState:
+) -> SearchState:
     """Replay a search up to frontier_modulus from its records alone.
 
     The replay runs the search's own sweep, but takes each checked class's

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from collatz_sieve import cli, search
 from collatz_sieve.cli import (
     load_checkpoint,
     main,
@@ -89,6 +90,45 @@ def test_resume_is_byte_identical(tmp_path):
                    "--checkpoint", b_cp, "--resume") == 0
     assert filecmp.cmp(a_csv, b_csv, shallow=False)
     assert filecmp.cmp(a_cp, b_cp, shallow=False)
+
+
+def test_a_search_stopped_early_leaves_an_empty_csv_and_resumes_whole(tmp_path, monkeypatch):
+    a_csv, a_cp = tmp_path / "a.csv", tmp_path / "a.json"
+    b_csv, b_cp = tmp_path / "b.csv", tmp_path / "b.json"
+    run_cli("search", "--max-modulus", 64, "--out", a_csv, "--checkpoint", a_cp)
+    save = cli.save_checkpoint
+
+    def save_until_40(path, entry):
+        if entry.modulus == 40:
+            raise OSError("no space left on device")
+        save(path, entry)
+
+    monkeypatch.setattr(cli, "save_checkpoint", save_until_40)
+    assert run_cli("search", "--max-modulus", 64, "--out", b_csv, "--checkpoint", b_cp) == 2
+    monkeypatch.undo()
+    assert b_csv.read_bytes() == b""  # the records of 2..38 are in the journal alone
+    assert load_checkpoint(str(b_cp)).entries[-1].modulus == 38
+    assert run_cli("search", "--max-modulus", 64, "--out", b_csv,
+                   "--checkpoint", b_cp, "--resume") == 0
+    assert filecmp.cmp(a_csv, b_csv, shallow=False)
+    assert filecmp.cmp(a_cp, b_cp, shallow=False)
+
+
+@pytest.mark.parametrize("flags, moduli", [
+    ([], [128]),
+    (["--skip-covered"], [64, 192]),
+], ids=["unfiltered-128", "skip-covered-192-resumed"])
+def test_results_csv_is_the_report_records_table(tmp_path, capsys, flags, moduli):
+    out, cp = tmp_path / "run.csv", tmp_path / "run.json"
+    for i, modulus in enumerate(moduli):
+        resume = ["--resume"] if i else []
+        assert run_cli("search", "--max-modulus", modulus, "--out", out, "--checkpoint", cp,
+                       *flags, *resume) == 0
+    capsys.readouterr()
+    assert run_cli("report", "--checkpoint", cp, "--format", "csv") == 0
+    tables = capsys.readouterr().out.split("\n\n")
+    assert len(tables) == 3
+    assert tables[-1].encode() == out.read_bytes()
 
 
 def test_resume_with_filter_and_skip_covered(tmp_path):
@@ -305,10 +345,10 @@ def test_unreadable_journals_are_rejected(tmp_path, capsys, damage, message):
         assert message in capsys.readouterr().err
 
 
-def _set_numeric_step_cap(path, value):
+def _set_config(path, key, value):
     header, rest = path.read_text().split("\n", 1)
     doc = json.loads(header)
-    doc["config"]["numeric_step_cap"] = value
+    doc["config"][key] = value
     path.write_text(json.dumps(doc) + "\n" + rest)
 
 
@@ -318,7 +358,7 @@ def test_replay_settles_the_first_member_of_drop_records(tmp_path, capsys):
     # the others are not certificates under that header.
     cp = tmp_path / "run.json"
     assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp) == 0
-    _set_numeric_step_cap(cp, 1)
+    _set_config(cp, "numeric_step_cap", 1)
     capsys.readouterr()
     for command in (["report"], ["coverage"]):
         assert run_cli(*command, "--checkpoint", cp) == 2
@@ -331,11 +371,25 @@ def test_replay_settles_the_first_member_of_drop_records(tmp_path, capsys):
 def test_numeric_step_cap_below_one_cannot_be_replayed(tmp_path, capsys, value):
     cp = tmp_path / "run.json"
     assert run_cli("search", "--max-modulus", 16, "--checkpoint", cp) == 0
-    _set_numeric_step_cap(cp, value)
+    _set_config(cp, "numeric_step_cap", value)
     capsys.readouterr()
     for command in (["report"], ["coverage"]):
         assert run_cli(*command, "--checkpoint", cp) == 2
         assert "cannot be replayed: numeric_step_cap must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [5, 0, -5])
+def test_a_step_cap_in_the_header_is_malformed(tmp_path, capsys, value):
+    # The trajectory cap is not a setting; a journal header names it null.
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    _set_config(cp, "step_cap", value)
+    capsys.readouterr()
+    for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        captured = capsys.readouterr()
+        assert "malformed configuration header" in captured.err
+        assert captured.out == ""
 
 
 def test_resume_requires_checkpoint_flag(capsys):
@@ -345,9 +399,6 @@ def test_resume_requires_checkpoint_flag(capsys):
 def test_search_rejects_odd_max_modulus(capsys):
     assert run_cli("search", "--max-modulus", 7) == 2
     assert "invalid configuration" in capsys.readouterr().err
-    for cap in (0, -5):
-        assert run_cli("search", "--max-modulus", 8, "--step-cap", cap) == 2
-        assert "invalid configuration" in capsys.readouterr().err
 
 
 def test_missing_and_corrupt_checkpoints(tmp_path):
@@ -419,10 +470,12 @@ def test_stoptimes_memory_guard(capsys):
 
 
 @pytest.mark.parametrize("flags, coeff, cap", [
-    (["--max-modulus", 64, "--step-cap", 6], 8, 6),
-    (["--max-modulus", 300, "--skip-covered", "--step-cap", 12], 64, 12),
+    (["--max-modulus", 64], 8, 6),
+    (["--max-modulus", 300, "--skip-covered"], 64, 12),
 ], ids=["unfiltered", "skip-covered"])
-def test_search_step_cap_breach(capsys, flags, coeff, cap):
+def test_search_step_cap_breach(capsys, monkeypatch, flags, coeff, cap):
+    # The cap, the proved bound plus slack, is never reached; a smaller one is.
+    monkeypatch.setattr(search, "default_step_cap", lambda modulus: cap)
     assert run_cli("search", *flags) == 3
     assert (f"cap breached: trajectory of AffineForm(coeff={coeff}, offset=-1) "
             f"exceeded {cap} elements") in capsys.readouterr().err

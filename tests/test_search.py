@@ -10,7 +10,6 @@ from collatz_sieve import (
     AffineForm,
     CertificateError,
     CertKind,
-    CoverageLedger,
     PatternClass,
     SearchConfig,
     SuccessRecord,
@@ -242,10 +241,9 @@ def test_skip_covered_search_to_4096_is_pinned():
     # SHA-256 of the stored coverage classes, density trail and record rows
     # of a filtered skip-covered search to 4096, as the ledger produced them
     # while it still proved every skipped class covered one by one.
-    ledger = CoverageLedger()
     summary = run_search(SearchConfig(max_modulus=4096, filter_3smooth=True,
-                                      skip_covered=True), ledger=ledger)
-    doc = {"stored_classes": [list(c) for c in ledger.stored_classes()],
+                                      skip_covered=True))
+    doc = {"stored_classes": [list(c) for c in summary.ledger.stored_classes()],
            "trail": [[m, str(d)] for m, d in summary.checkpoints],
            "records": [_record_to_row(r) for r in summary.records]}
     assert (len(summary.records), summary.examined, summary.skipped) == (65, 21230, 17749)
@@ -298,7 +296,7 @@ def test_k_verify_failure_stops_before_the_modulus_is_published():
     with mock.patch.object(oracle, "verify_success_record", verify):
         with pytest.raises(CertificateError) as raised:
             run_search(SearchConfig(max_modulus=24, k_verify=5),
-                       after_batch=lambda batch: published.append(batch.modulus))
+                       after_batch=lambda batch: published.append(batch.frontier_modulus))
     assert raised.value.record.pattern == PatternClass(12, 1)
     assert published == [2, 4, 6, 8, 10]
 
@@ -314,7 +312,7 @@ def test_rebuild_state_replays_exactly():
     config = SearchConfig(max_modulus=96, skip_covered=True)
     trail = []
     summary = run_search(config, after_batch=lambda b: trail.append(
-        (b.modulus, b.registry.digest(), b.ledger.density())
+        (b.frontier_modulus, b.registry.digest(), b.ledger.density())
     ))
     state = rebuild_state(config, 96, summary.records)
     registry, ledger = state.registry, state.ledger
