@@ -14,7 +14,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from . import oracle
@@ -24,16 +23,15 @@ from .search import (
     CertificateError,
     CertKind,
     PatternClass,
-    ReplayError,
     SearchConfig,
     SearchState,
     SuccessRecord,
-    _moduli,
     analyze_moduli,
     check_class,
     rebuild_state,
     run_search,
     seed_record,
+    unfiltered_registry,
     validate_pattern_class,
 )
 
@@ -58,6 +56,12 @@ class CheckpointError(Exception):
 # counts so far and the registry digest.  A last line without its newline was
 # cut short by a kill: readers ignore it and a resumed search truncates it.
 
+# Caps the header names that are not settings: the trajectory cap is always
+# the proved bound plus slack, and a first member is settled numerically
+# within the oracle's default step cap.
+_FIXED_CAPS = {"step_cap": None, "numeric_step_cap": oracle.DEFAULT_STEP_CAP}
+
+
 def _config_echo(config: SearchConfig) -> dict:
     # Spelled out, not derived from the dataclass, so the journal format
     # changes only when this function does.  No max_modulus: a journal's
@@ -66,9 +70,8 @@ def _config_echo(config: SearchConfig) -> dict:
         "filter_3smooth": config.filter_3smooth,
         "skip_covered": config.skip_covered,
         "join_targets_3smooth": config.join_targets_3smooth,
-        "step_cap": None,  # the trajectory cap is always the proved bound plus slack
-        "numeric_step_cap": config.numeric_step_cap,
         "k_verify": config.k_verify,
+        **_FIXED_CAPS,
     }
 
 
@@ -168,14 +171,15 @@ def load_checkpoint(path: str) -> Journal:
             entries.append(_decode_entry(line))
         except ValueError as exc:
             raise CheckpointError(f"line {number} of checkpoint {path} is malformed: {exc}")
-    # each header value must have the type of its field, so step_cap is null
+    # each header value must have the type of its field, and the caps their values
     echo, kinds = header.get("config"), _config_echo(SearchConfig(max_modulus=2))
     if not (isinstance(echo, dict) and echo.keys() == kinds.keys() and all(
-            type(value) is type(kinds[key]) for key, value in echo.items())):
+            type(value) is type(kinds[key]) for key, value in echo.items())
+            and echo.items() >= _FIXED_CAPS.items()):
         raise CheckpointError(f"checkpoint {path} has a malformed configuration header")
-    del echo["step_cap"]
+    settings = {key: value for key, value in echo.items() if key not in _FIXED_CAPS}
     try:
-        config = SearchConfig(max_modulus=entries[-1].modulus if entries else 2, **echo)
+        config = SearchConfig(max_modulus=entries[-1].modulus if entries else 2, **settings)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} cannot be replayed: {exc}") from None
     return Journal(config, entries, len(data) - len(torn))
@@ -193,12 +197,41 @@ def _build_config(args) -> SearchConfig:
     )
 
 
+def _journal_entry(state: SearchState) -> JournalEntry:
+    """The journal line of the state's frontier modulus."""
+    return JournalEntry(state.frontier_modulus, state.new_records, state.final_density,
+                        state.examined, state.skipped, state.registry.digest())
+
+
+def _difference(stored: JournalEntry, derived: JournalEntry) -> str:
+    """What the first journal line that differs from the replay gets wrong."""
+    ours = {record.pattern: record for record in derived.records}
+    for record in stored.records:
+        b, c = record.pattern
+        if b == derived.modulus and record != (found := ours.get(record.pattern)):
+            return (f"the stored certificate of {b}k-{c} does not hold; "
+                    f"the search derives {found or 'no certificate'}")
+    what = next(what for what, saved, replayed in [
+        ("density trail", (stored.modulus, stored.density), (derived.modulus, derived.density)),
+        ("record patterns", stored.records, derived.records),
+        ("examined count", stored.examined, derived.examined),
+        ("skipped count", stored.skipped, derived.skipped),
+        ("registry digest", stored.registry_digest, derived.registry_digest),
+    ] if saved != replayed)
+    return f"the replay's {what} does not match the checkpoint"
+
+
 def _restore(path: str, config: SearchConfig | None = None
              ) -> tuple[Journal, SearchState | None]:
     """Load a journal and replay it with its own configuration; every command
-    that reads a run comes here.  The replay must reproduce the journal's
-    density trail, records, counts and registry digest, and callers take the
-    run from the replay.  A journal with no modulus yet gives no state, and
+    that reads a run comes here, and takes the run from the replay.
+
+    The replay is the search itself, run to the journal's last modulus: it
+    derives every record.  Each journal line must be the line the search
+    writes where the replay stands: the same modulus, the same records in
+    order, density, counts and registry digest, and no line may be left
+    over.  The first line that differs stops the replay, so a far-off last
+    modulus costs nothing.  A journal with no modulus yet gives no state, and
     `config`, when given, must match the header."""
     journal = load_checkpoint(path)
     stored = _config_echo(journal.config)
@@ -208,26 +241,19 @@ def _restore(path: str, config: SearchConfig | None = None
                                   f"current run has {value!r}")
     if not journal.entries:
         return journal, None
-    last = journal.entries[-1]
-    # The replay goes no further than the journal's length vouches for; if
-    # that falls short of the last line, the trail comparison says so.
-    frontier = max(islice(_moduli(last.modulus, journal.config.filter_3smooth),
-                          len(journal.entries) - 1), default=2)
-    records = [record for entry in journal.entries for record in entry.records]
-    try:
-        state = rebuild_state(journal.config, frontier, records)
-    except ReplayError as exc:
-        raise CheckpointError(str(exc)) from None
-    comparisons = [
-        ("density trail", state.checkpoints, [(e.modulus, e.density) for e in journal.entries]),
-        ("record patterns", [r.pattern for r in state.records], [r.pattern for r in records]),
-        ("examined count", state.examined, last.examined),
-        ("skipped count", state.skipped, last.skipped),
-        ("registry digest", state.registry.digest(), last.registry_digest),
-    ]
-    for what, replayed, saved in comparisons:
-        if replayed != saved:
-            raise CheckpointError(f"the replay's {what} does not match the checkpoint")
+    lines = iter(journal.entries)
+
+    def check(state: SearchState) -> None:
+        # Never past the last line: the replay stops at its modulus.
+        line, derived = next(lines), _journal_entry(state)
+        if line != derived:
+            raise CheckpointError(_difference(line, derived))
+        # The records are equal: keep the journal's, so one copy of each is held.
+        state.records[len(state.records) - len(line.records):] = line.records
+
+    state = rebuild_state(journal.config, journal.entries[-1].modulus, check)
+    if next(lines, None) is not None:
+        raise CheckpointError("the replay's density trail does not match the checkpoint")
     return journal, state
 
 
@@ -240,20 +266,18 @@ def cmd_search(args) -> int:
             return EXIT_IO
         journal, resume_state = _restore(args.checkpoint, config)
         os.truncate(args.checkpoint, journal.length)  # drop a torn last line
-    elif args.checkpoint:
-        with open(args.checkpoint, "wb") as fh:  # a new journal: the header alone
-            fh.write(_encode({"config": _config_echo(config),
-                              "format_version": CHECKPOINT_VERSION}))
 
     def after_batch(state: SearchState) -> None:
-        save_checkpoint(args.checkpoint, JournalEntry(
-            state.frontier_modulus, state.new_records, state.final_density,
-            state.examined, state.skipped, state.registry.digest(),
-        ))
+        save_checkpoint(args.checkpoint, _journal_entry(state))
 
-    # The CSV is a view of the finished run's records, opened first so that a
-    # path that cannot be written fails before any work.
+    # The CSV is a view of the finished run's records, opened before a new
+    # journal replaces an old file, so that a path that cannot be written
+    # fails before any work and leaves that file as it was.
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as out:
+        if args.checkpoint and not args.resume:
+            with open(args.checkpoint, "wb") as fh:  # a new journal: the header alone
+                fh.write(_encode({"config": _config_echo(config),
+                                  "format_version": CHECKPOINT_VERSION}))
         state = run_search(config, after_batch=after_batch if args.checkpoint else None,
                            resume=resume_state)
         if out is not None:
@@ -405,9 +429,7 @@ def cmd_verify(args) -> int:
         if cls == PatternClass(2, 0):
             rec = seed_record()
         else:
-            config = SearchConfig(max_modulus=cls.modulus)
-            registry = rebuild_state(config, cls.modulus - 2, []).registry
-            rec = check_class(cls, registry)
+            rec = check_class(cls, unfiltered_registry(cls.modulus - 2))
     if rec is None:
         print(f"no certificate exists for {cls.modulus}k-{cls.remainder} "
               f"at modulus {cls.modulus}")

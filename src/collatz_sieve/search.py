@@ -24,16 +24,16 @@ one walk per residue mod 2^t: a*k + d with a even has the parity of d for
 every k, and while a stays even that parity is the same for all classes
 of one residue.  Forms are built only for a join scan.
 
-`_certify` alone decides what a class's certificate is.  The search writes
-what it returns, and the replay behind a resume or a report keeps a stored
-record only if it equals what `_certify` returns for that class.
+`_certify` alone decides what a class's certificate is, and `_sweep` calls
+it on every checked class.  The replay behind a resume or a report
+(`rebuild_state`) is that same sweep, so it derives every record itself;
+its caller compares the stored run against it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import hashlib
 import math
 import time
@@ -357,22 +357,19 @@ def _certify(
     terminal: tuple[int, int],
     registry: TrajectoryRegistry,
     join_targets_3smooth: bool,
-    numeric_step_cap: int,
 ) -> SuccessRecord | None:
-    """The record the search writes for class b*k - c, or None; the replay
-    re-derives stored records with it.  drop_index and terminal come from
-    walk_modulus, and the registry is frozen at the modulus.  A drop, which
-    needs the k=1 member settled numerically, is self-contained and comes
-    first.  Then joins, in element order, into the first registered class
-    (of a 3-smooth modulus, with join_targets_3smooth) whose anchor is
-    pointwise below from k=2 and, at k=1, smaller, or equal with the k=1
-    member settled.
+    """The record the search writes for class b*k - c, or None.  drop_index
+    and terminal come from walk_modulus, and the registry is frozen at the
+    modulus.  A drop, which needs the k=1 member settled numerically (within
+    the oracle's default step cap), is self-contained and comes first.  Then
+    joins, in element order, into the first registered class (of a 3-smooth
+    modulus, with join_targets_3smooth) whose anchor is pointwise below from
+    k=2 and, at k=1, smaller, or equal with the k=1 member settled.
     """
     first_member = b - c  # the anchor at k=1
     first_member_ok: bool | None = None  # the lazy numeric check of that member
     if drop_index:
-        first_member_ok = oracle.drops_below_self_or_reaches_one(first_member,
-                                                                 numeric_step_cap)
+        first_member_ok = oracle.drops_below_self_or_reaches_one(first_member)
         if first_member_ok:
             return SuccessRecord(PatternClass(b, c), CertKind.DROP, drop_index)
     if not registry.may_meet(terminal):
@@ -386,8 +383,7 @@ def _certify(
                 continue
             prior_first = prior_cls.modulus - prior_cls.remainder
             if prior_first == first_member and first_member_ok is None:
-                first_member_ok = oracle.drops_below_self_or_reaches_one(first_member,
-                                                                         numeric_step_cap)
+                first_member_ok = oracle.drops_below_self_or_reaches_one(first_member)
             if prior_first < first_member or (prior_first == first_member and first_member_ok):
                 return SuccessRecord(cls, CertKind.JOIN, index, prior_cls, prior_index)
     return None
@@ -397,7 +393,6 @@ def check_class(
     cls: PatternClass,
     registry: TrajectoryRegistry,
     join_targets_3smooth: bool = False,
-    numeric_step_cap: int = oracle.DEFAULT_STEP_CAP,
 ) -> SuccessRecord | None:
     """Certify one class against the trajectories registered so far.
 
@@ -408,8 +403,7 @@ def check_class(
     """
     validate_pattern_class(cls)
     walk = walk_modulus(cls.modulus, [cls.remainder])
-    return _certify(*cls, walk.drops[0], walk.terminals[0], registry, join_targets_3smooth,
-                    numeric_step_cap)
+    return _certify(*cls, walk.drops[0], walk.terminals[0], registry, join_targets_3smooth)
 
 
 @dataclass(frozen=True)
@@ -420,14 +414,11 @@ class SearchConfig:
     filter_3smooth: bool = False
     skip_covered: bool = False
     join_targets_3smooth: bool = False
-    numeric_step_cap: int = oracle.DEFAULT_STEP_CAP
     k_verify: int = 0
 
     def __post_init__(self) -> None:
         if self.max_modulus < 2 or self.max_modulus % 2:
             raise ValueError(f"max_modulus must be even and >= 2, got {self.max_modulus}")
-        if self.numeric_step_cap < 1:
-            raise ValueError(f"numeric_step_cap must be >= 1, got {self.numeric_step_cap}")
         if self.k_verify < 0:
             raise ValueError(f"k_verify must be >= 0, got {self.k_verify}")
 
@@ -441,20 +432,15 @@ class CertificateError(RuntimeError):
         self.report = report
 
 
-class ReplayError(ValueError):
-    """A stored record is not the certificate the search derives for its
-    class in the replay."""
-
-
 @dataclass
 class SearchState:
     """A search at a modulus boundary.
 
-    `run_search` and `rebuild_state` return it, and `after_batch` sees it
-    after each modulus.  The density trail holds one point per processed
-    modulus, so its last point names the frontier; new_records are the
-    records the frontier modulus added, in canonical (remainder descending)
-    order.
+    `run_search` and `rebuild_state` return it, and `after_batch` (in a
+    replay, `check`) sees it after each modulus.  The density trail holds
+    one point per processed modulus, so its last point names the frontier;
+    new_records are the records the frontier modulus added, in canonical
+    (remainder descending) order.
     """
 
     records: list[SuccessRecord]
@@ -502,18 +488,12 @@ def _seeded_state() -> SearchState:
                        [seed_record()])
 
 
-def _sweep(
-    config: SearchConfig,
-    state: SearchState,
-    last_modulus: int,
-    record_for: Callable[[int, int, int, tuple[int, int]], SuccessRecord | None],
-) -> Iterator[None]:
+def _sweep(config: SearchConfig, state: SearchState, last_modulus: int) -> Iterator[None]:
     """Advance `state` modulus by modulus from its frontier to last_modulus,
     yielding after each modulus.
 
-    `record_for(b, c, drop_index, terminal)` gives the record of class
-    b*k - c, or None.  It sees every class of a modulus before the modulus is
-    registered, so it sees the registry frozen at the modulus boundary.
+    Every checked class is certified by `_certify` before its modulus is
+    registered, so against the registry frozen at the modulus boundary.
     """
     for modulus in _moduli(last_modulus, config.filter_3smooth, state.frontier_modulus):
         open_residues = state.ledger.open_residues(modulus)
@@ -526,7 +506,7 @@ def _sweep(
         state.examined += modulus // 2
         state.skipped += modulus // 2 - len(remainders)
         walk = walk_modulus(modulus, remainders)
-        found = [record_for(modulus, c, drop, terminal)
+        found = [_certify(modulus, c, drop, terminal, state.registry, config.join_targets_3smooth)
                  for c, drop, terminal in zip(remainders, walk.drops, walk.terminals)]
         state.registry.register(walk)
         new_records = [record for record in found if record is not None]
@@ -542,14 +522,6 @@ def _sweep(
         state.new_records = new_records
         state.checkpoints.append((modulus, state.ledger.density()))
         yield
-
-
-def _certifier(config: SearchConfig, registry: TrajectoryRegistry
-               ) -> Callable[[int, int, int, tuple[int, int]], SuccessRecord | None]:
-    """_certify under config's settings, as `_sweep`'s record_for."""
-    return functools.partial(_certify, registry=registry,
-                             join_targets_3smooth=config.join_targets_3smooth,
-                             numeric_step_cap=config.numeric_step_cap)
 
 
 def run_search(
@@ -577,10 +549,10 @@ def run_search(
         state = dataclasses.replace(
             resume, records=list(resume.records), checkpoints=list(resume.checkpoints)
         )
-    for _ in _sweep(config, state, config.max_modulus, _certifier(config, state.registry)):
+    for _ in _sweep(config, state, config.max_modulus):
         for record in state.new_records if config.k_verify else ():
             report = oracle.verify_success_record(record, config.k_verify,
-                                                  config.numeric_step_cap)
+                                                  oracle.DEFAULT_STEP_CAP)
             if not report.ok:
                 raise CertificateError(record, report)
         if after_batch is not None:
@@ -592,35 +564,32 @@ def run_search(
 def rebuild_state(
     config: SearchConfig,
     frontier_modulus: int,
-    records: Sequence[SuccessRecord],
+    check: Callable[[SearchState], None] = lambda state: None,
 ) -> SearchState:
-    """Replay a search up to frontier_modulus from its records alone.
+    """Replay a search up to frontier_modulus: the sweep of `run_search`,
+    without the `k_verify` brute force.
 
-    The replay runs the search's own sweep, but takes each checked class's
-    record from `records` (looked up by pattern), and never runs the
-    `k_verify` brute force.  A record it takes must equal what the search
-    derives for its class: `_certify`, under `config`, on the class's walk
-    and the registry frozen at its modulus; otherwise ReplayError is raised.
-    A class with no stored record is not certified.  Trajectories are a pure
-    function of the class, so the registry, ledger, density trail and counts
-    come out exactly as the search left them, skip-covered decisions
-    included.  The returned records are the stored ones the replay reached,
-    in canonical order; stored records it never reached are left out.
+    Every record, the density trail, the counts and the registry are derived
+    as the search derives them; nothing is taken from the run replayed.
+    `check(state)` sees the state where the search would call after_batch,
+    and a caller that compares a stored run with the replay raises there to
+    stop it at the first difference.
     """
     state = _seeded_state()
-    stored = {record.pattern: record for record in records}
-    certify = _certifier(config, state.registry)
-
-    def replayed(b: int, c: int, drop: int, terminal: tuple[int, int]) -> SuccessRecord | None:
-        record = stored.get((b, c))  # a PatternClass equals its tuple
-        if record is not None and record != (derived := certify(b, c, drop, terminal)):
-            raise ReplayError(f"the stored certificate of {b}k-{c} does not hold; "
-                              f"the search derives {derived or 'no certificate'}")
-        return record
-
-    for _ in _sweep(config, state, frontier_modulus, replayed):
-        pass
+    check(state)
+    for _ in _sweep(config, state, frontier_modulus):
+        check(state)
     return state
+
+
+def unfiltered_registry(last_modulus: int) -> TrajectoryRegistry:
+    """The registry of an unfiltered search without skip-covered through
+    last_modulus.  That search registers every class, certified or not, so
+    no certificate is derived here."""
+    registry = _seeded_state().registry
+    for modulus in _moduli(last_modulus, False):
+        registry.register(walk_modulus(modulus, range(modulus - 1, 0, -2)))
+    return registry
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from collatz_sieve import cli, search
+from collatz_sieve import cli, oracle, search
 from collatz_sieve.cli import (
     load_checkpoint,
     main,
@@ -255,6 +255,64 @@ def test_replay_rejects_a_sound_certificate_the_search_does_not_write(tmp_path, 
         assert captured.out == ""
 
 
+def test_replay_rejects_a_journal_that_leaves_out_a_record(tmp_path, capsys):
+    # 8k-7 lies inside the covered 1 mod 4, so leaving its record out changes
+    # no density; the replay derives it all the same.
+    out, cp = tmp_path / "run.csv", tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    _edit_journal(cp, lambda lines: lines[3]["records"].remove([8, 7, 4, None, None, None]))
+    capsys.readouterr()
+    for command in (["report"], ["coverage"],
+                    ["search", "--max-modulus", 48, "--resume", "--out", out]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        captured = capsys.readouterr()
+        assert "the replay's record patterns does not match" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--skip-covered"],
+                                   ["--filter-3smooth", "on", "--skip-covered"]],
+                         ids=["unfiltered", "skip-covered", "3smooth-skip-covered"])
+def test_leaving_out_any_one_record_is_rejected(tmp_path, capsys, flags):
+    cp, tampered = tmp_path / "run.json", tmp_path / "tampered.json"
+    assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp, *flags) == 0
+    header, *lines = cp.read_text().splitlines()
+    positions = [(i, j) for i, line in enumerate(lines)
+                 for j in range(len(json.loads(line)["records"]))]
+    capsys.readouterr()
+    for i, j in positions:
+        line = json.loads(lines[i])
+        del line["records"][j]
+        tampered.write_text("\n".join([header, *lines[:i], json.dumps(line), *lines[i + 1:]])
+                            + "\n")
+        for command in (["report"], ["coverage"],
+                        ["search", "--max-modulus", 80, "--resume", *flags]):
+            assert run_cli(*command, "--checkpoint", tampered) == 2, (i, j, command)
+            assert capsys.readouterr().out == ""
+
+
+def test_a_line_past_the_last_modulus_is_rejected(tmp_path, capsys):
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    _edit_journal(cp, lambda lines: lines.append(lines[-1]))
+    capsys.readouterr()
+    for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        captured = capsys.readouterr()
+        assert "the replay's density trail does not match" in captured.err
+        assert captured.out == ""
+
+
+def test_an_unwritable_out_leaves_the_journal_as_it_was(tmp_path):
+    cp = tmp_path / "keep.json"
+    assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp) == 0
+    kept = cp.read_bytes()
+    assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp,
+                   "--out", tmp_path / "missing" / "x.csv") == 2
+    assert cp.read_bytes() == kept
+
+
 @pytest.mark.parametrize("index, value", [(1, "1/3"), (-1, "1/1"), (0, "-1/2")],
                          ids=["decreasing", "not-the-final-density", "negative"])
 def test_report_rejects_an_impossible_density_trail(tmp_path, capsys, index, value):
@@ -352,13 +410,14 @@ def _set_config(path, key, value):
     path.write_text(json.dumps(doc) + "\n" + rest)
 
 
-def test_replay_settles_the_first_member_of_drop_records(tmp_path, capsys):
-    # A search to 64 with numeric_step_cap 1 certifies 17 drops, not 153: few
-    # first members b - c fall below themselves in one step, so the drops of
-    # the others are not certificates under that header.
+def test_replay_settles_the_first_member_of_drop_records(tmp_path, capsys, monkeypatch):
+    # With the numeric check of member 5 failing, the drop of 8k-3 is no
+    # certificate, so a replay must not accept the stored one.
     cp = tmp_path / "run.json"
     assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp) == 0
-    _set_config(cp, "numeric_step_cap", 1)
+    settles = oracle.drops_below_self_or_reaches_one
+    monkeypatch.setattr(oracle, "drops_below_self_or_reaches_one",
+                        lambda n, *cap: n != 5 and settles(n, *cap))
     capsys.readouterr()
     for command in (["report"], ["coverage"]):
         assert run_cli(*command, "--checkpoint", cp) == 2
@@ -367,23 +426,15 @@ def test_replay_settles_the_first_member_of_drop_records(tmp_path, capsys):
         assert captured.out == ""
 
 
-@pytest.mark.parametrize("value", [0, -5])
-def test_numeric_step_cap_below_one_cannot_be_replayed(tmp_path, capsys, value):
-    cp = tmp_path / "run.json"
-    assert run_cli("search", "--max-modulus", 16, "--checkpoint", cp) == 0
-    _set_config(cp, "numeric_step_cap", value)
-    capsys.readouterr()
-    for command in (["report"], ["coverage"]):
-        assert run_cli(*command, "--checkpoint", cp) == 2
-        assert "cannot be replayed: numeric_step_cap must be >= 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", [5, 0, -5])
-def test_a_step_cap_in_the_header_is_malformed(tmp_path, capsys, value):
-    # The trajectory cap is not a setting; a journal header names it null.
+@pytest.mark.parametrize("key, value", [
+    ("step_cap", 5), ("step_cap", 0), ("step_cap", -5),
+    ("numeric_step_cap", 1), ("numeric_step_cap", 0), ("numeric_step_cap", -5),
+], ids=["5", "0", "-5", "numeric-1", "numeric-0", "numeric--5"])
+def test_a_step_cap_in_the_header_is_malformed(tmp_path, capsys, key, value):
+    # Neither cap is a setting; a journal header names them null and 10^6.
     cp = tmp_path / "run.json"
     assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
-    _set_config(cp, "step_cap", value)
+    _set_config(cp, key, value)
     capsys.readouterr()
     for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
         assert run_cli(*command, "--checkpoint", cp) == 2

@@ -88,7 +88,7 @@ def test_search_ledger_stores_the_former_decomposition(half, filter_3smooth,
     CheckedLedger.made.clear()
     with mock.patch.object(search, "CoverageLedger", CheckedLedger):
         summary = run_search(config)
-        search.rebuild_state(config, config.max_modulus, summary.records)
+        search.rebuild_state(config, config.max_modulus)
     # The search hands the ledger only the records of classes still open at
     # their modulus; the decomposition of every record must come out the same.
     every_record = Decomposition()

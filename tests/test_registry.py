@@ -77,7 +77,7 @@ def test_registry_answers_like_the_dictionary(half, filter_3smooth, skip_covered
     CheckedRegistry.made.clear()
     with mock.patch.object(search, "TrajectoryRegistry", CheckedRegistry):
         summary = run_search(config)
-        search.rebuild_state(config, config.max_modulus, summary.records)
+        search.rebuild_state(config, config.max_modulus)
     registry, replayed = CheckedRegistry.made
     oracle = registry.oracle
     for form in [*oracle.by_form, *extra_forms]:

@@ -314,7 +314,7 @@ def test_rebuild_state_replays_exactly():
     summary = run_search(config, after_batch=lambda b: trail.append(
         (b.frontier_modulus, b.registry.digest(), b.ledger.density())
     ))
-    state = rebuild_state(config, 96, summary.records)
+    state = rebuild_state(config, 96)
     registry, ledger = state.registry, state.ledger
     assert registry.digest() == trail[-1][1]
     assert ledger.density() == summary.final_density
@@ -327,7 +327,7 @@ def test_replay_builds_forms_only_for_join_records():
     joins = sum(record.kind is CertKind.JOIN for record in records)
     with mock.patch.object(search, "pattern_trajectory",
                            wraps=search.pattern_trajectory) as built:
-        rebuild_state(config, 512, records)
+        rebuild_state(config, 512)
     assert built.call_count == joins == 2997
 
 
