@@ -5,13 +5,13 @@ Checkpointed searches: stop anywhere, resume bit-for-bit
 Long runs keep a checkpoint journal: a header line, then one appended line
 per modulus with the records it added, its density, the class counts and
 the registry digest.  Resuming replays the search itself, which derives
-every record again, checks each journal line against the line the search
-writes at that modulus, and appends from there; a last line torn by a kill
-is dropped first.  The results CSV is a view of the records, written once
-the search finishes, so a resumed run writes it whole.  It and the journal
-are byte-identical to those of an uninterrupted run, and the demo exits
-with status 1 if either is not.  `report` and `coverage` read a journal
-through the same replay.
+every record again, checks each journal line, byte for byte, against the
+line the search writes at that modulus, and appends from there; a last
+line torn by a kill is dropped first.  The results CSV is a view of the
+records, written once the search finishes, so a resumed run writes it
+whole.  It and the journal are byte-identical to those of an
+uninterrupted run, and the demo exits with status 1 if either is not.
+`report` and `coverage` read a journal through the same replay.
 """
 
 import filecmp

@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from . import oracle
@@ -55,6 +54,10 @@ class CheckpointError(Exception):
 # modulus with the records it added, its density, the examined and skipped
 # counts so far and the registry digest.  A last line without its newline was
 # cut short by a kill: readers ignore it and a resumed search truncates it.
+# Every line is written by `_encode`, compact with sorted keys, and a reader
+# takes a line after the header only if it is, byte for byte, the line the
+# search writes there: only the header and the last line's modulus are
+# decoded to read a journal.
 
 # Caps the header names that are not settings: the trajectory cap is always
 # the proved bound plus slack, and a first member is settled numerically
@@ -98,56 +101,27 @@ def _record_from_row(row: object) -> SuccessRecord:
     return SuccessRecord(PatternClass(b, c), CertKind.JOIN, stop, PatternClass(jb, jc), ji)
 
 
-def _parse_fraction(text: object) -> Fraction:
-    match = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", text) if isinstance(text, str) else None
-    if match is None or int(match[2]) < 1:
-        raise ValueError(f"expected a fraction p/q with q >= 1, got {text!r}")
-    return Fraction(int(match[1]), int(match[2]))
-
-
-class JournalEntry(NamedTuple):
-    """One journal line: what a search added at one modulus."""
-
-    modulus: int
-    records: list[SuccessRecord]
-    density: Fraction
-    examined: int
-    skipped: int
-    registry_digest: str
-
-
 class Journal(NamedTuple):
-    """A parsed journal; a torn last line lies beyond `length` bytes."""
+    """A read journal; a torn last line lies beyond `length` bytes."""
 
     config: SearchConfig  # max_modulus is the last line's modulus
-    entries: list[JournalEntry]
+    lines: list[bytes]  # the complete lines after the header, without newlines
     length: int
 
 
-def _encode(doc: dict) -> bytes:
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+def _encode(value: object) -> bytes:
+    return (json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def _decode_entry(line: bytes) -> JournalEntry:
-    doc = json.loads(line)
-    if not (isinstance(doc, dict) and doc.keys() == set(JournalEntry._fields)
-            and _ints(doc["modulus"], doc["examined"], doc["skipped"])
-            and isinstance(doc["records"], list) and isinstance(doc["registry_digest"], str)):
-        raise ValueError("not a journal line")
-    return JournalEntry(**doc | {"records": [_record_from_row(r) for r in doc["records"]],
-                                 "density": _parse_fraction(doc["density"])})
-
-
-def save_checkpoint(path: str, entry: JournalEntry) -> None:
-    """Append one modulus to the journal at path."""
-    density = f"{entry.density.numerator}/{entry.density.denominator}"
+def save_checkpoint(path: str, line: bytes) -> None:
+    """Append one line to the journal at path."""
     with open(path, "ab") as fh:
-        fh.write(_encode(entry._asdict() | {
-            "records": [_record_to_row(r) for r in entry.records], "density": density}))
+        fh.write(line)
 
 
 def load_checkpoint(path: str) -> Journal:
-    """Parse a journal; nothing in it is replayed or cross-checked here."""
+    """Read a journal: its header is parsed and checked, and of the lines
+    after it only the last one's modulus, which bounds a replay."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -165,12 +139,12 @@ def load_checkpoint(path: str) -> Journal:
         found = re.search(rb'"format_version": *(-?[0-9]+)', data)
         raise CheckpointError(f"checkpoint {path} is not a version-{CHECKPOINT_VERSION} journal"
                               + (f" (it has format_version {int(found[1])})" if found else ""))
-    entries = []
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            entries.append(_decode_entry(line))
-        except ValueError as exc:
-            raise CheckpointError(f"line {number} of checkpoint {path} is malformed: {exc}")
+    try:
+        last = json.loads(lines[-1]) if len(lines) > 1 else {"modulus": 2}
+    except ValueError:
+        last = None
+    if not (isinstance(last, dict) and _ints(last.get("modulus"))):
+        raise CheckpointError(f"line {len(lines)} of checkpoint {path} is malformed")
     # each header value must have the type of its field, and the caps their values
     echo, kinds = header.get("config"), _config_echo(SearchConfig(max_modulus=2))
     if not (isinstance(echo, dict) and echo.keys() == kinds.keys() and all(
@@ -179,10 +153,10 @@ def load_checkpoint(path: str) -> Journal:
         raise CheckpointError(f"checkpoint {path} has a malformed configuration header")
     settings = {key: value for key, value in echo.items() if key not in _FIXED_CAPS}
     try:
-        config = SearchConfig(max_modulus=entries[-1].modulus if entries else 2, **settings)
+        config = SearchConfig(max_modulus=last["modulus"], **settings)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} cannot be replayed: {exc}") from None
-    return Journal(config, entries, len(data) - len(torn))
+    return Journal(config, lines[1:], len(data) - len(torn))
 
 
 # -------------------------------------------------------------------- search
@@ -197,28 +171,43 @@ def _build_config(args) -> SearchConfig:
     )
 
 
-def _journal_entry(state: SearchState) -> JournalEntry:
+def _journal_line(state: SearchState) -> bytes:
     """The journal line of the state's frontier modulus."""
-    return JournalEntry(state.frontier_modulus, state.new_records, state.final_density,
-                        state.examined, state.skipped, state.registry.digest())
+    density = state.final_density
+    return _encode({"modulus": state.frontier_modulus,
+                    "records": [_record_to_row(r) for r in state.new_records],
+                    "density": f"{density.numerator}/{density.denominator}",
+                    "examined": state.examined, "skipped": state.skipped,
+                    "registry_digest": state.registry.digest()})
 
 
-def _difference(stored: JournalEntry, derived: JournalEntry) -> str:
-    """What the first journal line that differs from the replay gets wrong."""
-    ours = {record.pattern: record for record in derived.records}
-    for record in stored.records:
-        b, c = record.pattern
-        if b == derived.modulus and record != (found := ours.get(record.pattern)):
-            return (f"the stored certificate of {b}k-{c} does not hold; "
-                    f"the search derives {found or 'no certificate'}")
-    what = next(what for what, saved, replayed in [
-        ("density trail", (stored.modulus, stored.density), (derived.modulus, derived.density)),
-        ("record patterns", stored.records, derived.records),
-        ("examined count", stored.examined, derived.examined),
-        ("skipped count", stored.skipped, derived.skipped),
-        ("registry digest", stored.registry_digest, derived.registry_digest),
-    ] if saved != replayed)
-    return f"the replay's {what} does not match the checkpoint"
+def _difference(line: bytes, derived: bytes, where: str) -> str:
+    """What a journal line that is not the derived line gets wrong.  Fields
+    compare by their encoding, so that JSON true is not 1."""
+    ours = json.loads(derived)
+    try:
+        theirs = json.loads(line)
+    except ValueError:
+        theirs = None
+    if not isinstance(theirs, dict):
+        return f"{where} is malformed"
+    derived_rows, rows = {tuple(r[:2]): r for r in ours["records"]}, theirs.get("records")
+    for row in rows if isinstance(rows, list) else ():
+        if (isinstance(row, list) and len(row) > 1 and _ints(*row[:2])
+                and row[0] == ours["modulus"]):
+            found = derived_rows.get(tuple(row[:2]))
+            if found is None or _encode(found) != _encode(row):
+                return (f"the stored certificate of {row[0]}k-{row[1]} does not hold; the "
+                        f"search derives {_record_from_row(found) if found else 'no certificate'}")
+    what = next((what for what, keys in [
+        ("density trail", ["modulus", "density"]),
+        ("record patterns", ["records"]),
+        ("examined count", ["examined"]),
+        ("skipped count", ["skipped"]),
+        ("registry digest", ["registry_digest"]),
+    ] if any(_encode(theirs.get(key)) != _encode(ours[key]) for key in keys)), None)
+    # equal fields in other bytes: spaces, another key order, an extra key
+    return f"the replay's {what} does not match the checkpoint" if what else f"{where} is malformed"
 
 
 def _restore(path: str, config: SearchConfig | None = None
@@ -227,11 +216,11 @@ def _restore(path: str, config: SearchConfig | None = None
     that reads a run comes here, and takes the run from the replay.
 
     The replay is the search itself, run to the journal's last modulus: it
-    derives every record.  Each journal line must be the line the search
-    writes where the replay stands: the same modulus, the same records in
-    order, density, counts and registry digest, and no line may be left
-    over.  The first line that differs stops the replay, so a far-off last
-    modulus costs nothing.  A journal with no modulus yet gives no state, and
+    derives every record.  Each journal line must be, byte for byte, the
+    line the search writes where the replay stands, and no line may be left
+    over; only a line that differs is decoded, to name what it gets wrong.
+    The first line that differs stops the replay, so a far-off last modulus
+    costs nothing.  A journal with no modulus yet gives no state, and
     `config`, when given, must match the header."""
     journal = load_checkpoint(path)
     stored = _config_echo(journal.config)
@@ -239,19 +228,19 @@ def _restore(path: str, config: SearchConfig | None = None
         if stored[key] != value:
             raise CheckpointError(f"checkpoint was produced with {key}={stored[key]!r}, "
                                   f"current run has {value!r}")
-    if not journal.entries:
+    if not journal.lines:
         return journal, None
-    lines = iter(journal.entries)
+    lines = enumerate(journal.lines, start=2)
 
     def check(state: SearchState) -> None:
         # Never past the last line: the replay stops at its modulus.
-        line, derived = next(lines), _journal_entry(state)
-        if line != derived:
-            raise CheckpointError(_difference(line, derived))
-        # The records are equal: keep the journal's, so one copy of each is held.
-        state.records[len(state.records) - len(line.records):] = line.records
+        number, line = next(lines)
+        derived = _journal_line(state)
+        if line + b"\n" != derived:
+            raise CheckpointError(_difference(line, derived,
+                                              f"line {number} of checkpoint {path}"))
 
-    state = rebuild_state(journal.config, journal.entries[-1].modulus, check)
+    state = rebuild_state(journal.config, journal.config.max_modulus, check)
     if next(lines, None) is not None:
         raise CheckpointError("the replay's density trail does not match the checkpoint")
     return journal, state
@@ -268,16 +257,19 @@ def cmd_search(args) -> int:
         os.truncate(args.checkpoint, journal.length)  # drop a torn last line
 
     def after_batch(state: SearchState) -> None:
-        save_checkpoint(args.checkpoint, _journal_entry(state))
+        save_checkpoint(args.checkpoint, _journal_line(state))
 
-    # The CSV is a view of the finished run's records, opened before a new
-    # journal replaces an old file, so that a path that cannot be written
-    # fails before any work and leaves that file as it was.
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as out:
+    # The CSV is a view of the finished run's records.  It and a new journal
+    # are both opened before either is emptied, so that a path that cannot be
+    # written fails before any work and leaves the other file as it was.
+    with open(args.out, "a", newline="") if args.out else contextlib.nullcontext() as out:
         if args.checkpoint and not args.resume:
-            with open(args.checkpoint, "wb") as fh:  # a new journal: the header alone
+            with open(args.checkpoint, "ab") as fh:  # a new journal: the header alone
+                fh.truncate(0)
                 fh.write(_encode({"config": _config_echo(config),
                                   "format_version": CHECKPOINT_VERSION}))
+        if out is not None:
+            out.truncate(0)
         state = run_search(config, after_batch=after_batch if args.checkpoint else None,
                            resume=resume_state)
         if out is not None:
@@ -372,9 +364,6 @@ def cmd_stoptimes(args) -> int:
     if args.range is not None and args.range < 4:
         print("--range must be >= 4", file=sys.stderr)
         return EXIT_IO
-    if args.step_cap < 1:
-        print("--step-cap must be >= 1", file=sys.stderr)
-        return EXIT_IO
     top = max(max(wanted, default=0), (args.range - 1) if args.range else 0)
     if top < 3:
         print("nothing to do: give --n and/or --range", file=sys.stderr)
@@ -385,8 +374,7 @@ def cmd_stoptimes(args) -> int:
     rows = []
     best: oracle.StopRecord | None = None
     try:
-        for rec in oracle.iter_modified_stops(top, step_cap=args.step_cap,
-                                              max_visited=args.max_visited):
+        for rec in oracle.iter_modified_stops(top, max_visited=args.max_visited):
             if args.range is not None and rec.n < args.range:
                 if best is None or rec.stop_index > best.stop_index:
                     best = rec
@@ -422,9 +410,14 @@ def cmd_verify(args) -> int:
 
     rec = None
     if args.checkpoint:
-        # the brute force below is the check, so no replay
-        rec = next((r for entry in load_checkpoint(args.checkpoint).entries
-                    for r in entry.records if r.pattern == cls), None)
+        # the brute force below is the check, so no replay; every line is decoded
+        for number, line in enumerate(load_checkpoint(args.checkpoint).lines, start=2):
+            try:
+                records = [_record_from_row(row) for row in json.loads(line)["records"]]
+            except (ValueError, TypeError, KeyError) as exc:
+                raise CheckpointError(f"line {number} of checkpoint {args.checkpoint} "
+                                      f"is malformed: {exc}") from None
+            rec = rec or next((r for r in records if r.pattern == cls), None)
     if rec is None:
         if cls == PatternClass(2, 0):
             rec = seed_record()
@@ -509,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report this n (repeatable)")
     p.add_argument("--range", type=int,
                    help="also report the argmax over 2..RANGE-1")
-    p.add_argument("--step-cap", type=int, default=oracle.DEFAULT_STEP_CAP)
     p.add_argument("--max-visited", type=int, default=oracle.DEFAULT_VISITED_LIMIT,
                    help="memory guard on the visited-value set")
     p.add_argument("--format", choices=["text", "csv"], default="text")

@@ -17,12 +17,13 @@ from .affine import AffineForm, build_trajectory, evaluate
 if TYPE_CHECKING:  # only for annotations; no runtime dependency on search
     from .search import SuccessRecord
 
+# Not a setting: every function here reads it when called.
 DEFAULT_STEP_CAP = 10**6
 DEFAULT_VISITED_LIMIT = 20_000_000
 
 
 class StepCapExceededError(RuntimeError):
-    """A trajectory ran past the configured step cap without resolving."""
+    """A trajectory ran past the step cap without resolving."""
 
 
 class VisitedLimitError(RuntimeError):
@@ -47,7 +48,8 @@ class Trajectory:
     values: tuple[int, ...]
 
 
-def trajectory(start: int, step_cap: int = DEFAULT_STEP_CAP) -> Trajectory:
+def trajectory(start: int) -> Trajectory:
+    step_cap = DEFAULT_STEP_CAP
     values = [start]
     v = start
     while v != 1:
@@ -60,10 +62,11 @@ def trajectory(start: int, step_cap: int = DEFAULT_STEP_CAP) -> Trajectory:
     return Trajectory(start, tuple(values))
 
 
-def stopping_time(n: int, step_cap: int = DEFAULT_STEP_CAP) -> int | None:
+def stopping_time(n: int) -> int | None:
     """Least element index i >= 2 with values[i] < n; None if the cap hits first."""
     if n < 2:
         raise ValueError(f"stopping time needs n >= 2, got {n}")
+    step_cap = DEFAULT_STEP_CAP
     v = n
     i = 1
     while i < step_cap:
@@ -74,11 +77,11 @@ def stopping_time(n: int, step_cap: int = DEFAULT_STEP_CAP) -> int | None:
     return None
 
 
-def drops_below_self_or_reaches_one(n: int, step_cap: int = DEFAULT_STEP_CAP) -> bool:
+def drops_below_self_or_reaches_one(n: int) -> bool:
     """Numeric check used on single class members: trajectory falls below n or hits 1."""
     if n == 1:
         return True
-    return stopping_time(n, step_cap) is not None
+    return stopping_time(n) is not None
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,7 @@ class StopRecord:
     divisions_by_2: int
 
 
-def modified_stopping_time(
-    n: int,
-    visited: Mapping[int, int],
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> StopRecord:
+def modified_stopping_time(n: int, visited: Mapping[int, int]) -> StopRecord:
     """Scan n's trajectory (from element 1: n itself may already be known)
     for the first value present in `visited`.
 
@@ -107,6 +106,7 @@ def modified_stopping_time(
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    step_cap = DEFAULT_STEP_CAP
     v = n
     i = 1
     halvings = 0
@@ -129,16 +129,12 @@ def modified_stopping_time(
         i += 1
 
 
-def _absorb_trajectory(
-    n: int,
-    visited: dict[int, int],
-    step_cap: int,
-    max_visited: int,
-) -> None:
+def _absorb_trajectory(n: int, visited: dict[int, int], max_visited: int) -> None:
     # Add the values of n's trajectory that are not yet known.  Once a
     # known value is reached, everything after it is known too (the map is
     # a function, and known values were absorbed together with their
     # successors), so the walk can stop there.
+    step_cap = DEFAULT_STEP_CAP
     v = n
     steps = 0
     while v not in visited:
@@ -159,9 +155,7 @@ def _absorb_trajectory(
 
 
 def iter_modified_stops(
-    n_max: int,
-    step_cap: int = DEFAULT_STEP_CAP,
-    max_visited: int = DEFAULT_VISITED_LIMIT,
+    n_max: int, max_visited: int = DEFAULT_VISITED_LIMIT
 ) -> Iterable[StopRecord]:
     """Yield the StopRecord of every n = 3..n_max in ascending order.
 
@@ -171,35 +165,31 @@ def iter_modified_stops(
     visited: dict[int, int] = {}
     for n in range(2, n_max + 1):
         try:
-            yield modified_stopping_time(n, visited, step_cap)
+            yield modified_stopping_time(n, visited)
         except NoPriorSequenceError:
             if n != 2:
                 raise
-        _absorb_trajectory(n, visited, step_cap, max_visited)
+        _absorb_trajectory(n, visited, max_visited)
 
 
 def visited_values_through(
-    n_max: int,
-    step_cap: int = DEFAULT_STEP_CAP,
-    max_visited: int = DEFAULT_VISITED_LIMIT,
+    n_max: int, max_visited: int = DEFAULT_VISITED_LIMIT
 ) -> dict[int, int]:
     """Map of every value in the trajectories of 2..n_max to its smallest witness."""
     visited: dict[int, int] = {}
     for n in range(2, n_max + 1):
-        _absorb_trajectory(n, visited, step_cap, max_visited)
+        _absorb_trajectory(n, visited, max_visited)
     return visited
 
 
 def longest_modified_stop(
-    range_max: int,
-    step_cap: int = DEFAULT_STEP_CAP,
-    max_visited: int = DEFAULT_VISITED_LIMIT,
+    range_max: int, max_visited: int = DEFAULT_VISITED_LIMIT
 ) -> tuple[int, StopRecord]:
     """Argmax of the modified stopping time over 2..range_max-1 (ties: smallest n)."""
     if range_max < 4:
         raise ValueError(f"range_max must be >= 4, got {range_max}")
     best: StopRecord | None = None
-    for rec in iter_modified_stops(range_max - 1, step_cap, max_visited):
+    for rec in iter_modified_stops(range_max - 1, max_visited):
         if best is None or rec.stop_index > best.stop_index:
             best = rec
     assert best is not None
@@ -223,11 +213,7 @@ def _advance(n: int, steps: int) -> int:
     return v
 
 
-def verify_success_record(
-    rec: "SuccessRecord",
-    k_max: int,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> VerificationReport:
+def verify_success_record(rec: "SuccessRecord", k_max: int) -> VerificationReport:
     """Check a certificate against concrete arithmetic for k = 1..k_max.
 
     For each member n = b*k - c the trajectory is walked stop_index - 1
@@ -277,7 +263,7 @@ def verify_success_record(
         anchor_value = evaluate(joined_anchor, k)
         if anchor_value < n:
             continue
-        if k == 1 and anchor_value == n and drops_below_self_or_reaches_one(n, step_cap):
+        if k == 1 and anchor_value == n and drops_below_self_or_reaches_one(n):
             continue
         return VerificationReport(
             k_max, False, k,

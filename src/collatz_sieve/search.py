@@ -551,8 +551,7 @@ def run_search(
         )
     for _ in _sweep(config, state, config.max_modulus):
         for record in state.new_records if config.k_verify else ():
-            report = oracle.verify_success_record(record, config.k_verify,
-                                                  oracle.DEFAULT_STEP_CAP)
+            report = oracle.verify_success_record(record, config.k_verify)
             if not report.ok:
                 raise CertificateError(record, report)
         if after_batch is not None:

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 
 import pytest
@@ -68,17 +69,33 @@ def test_report_csv_format(tmp_path, capsys):
 
 
 def test_checkpoint_round_trip_is_byte_identical(tmp_path):
-    # decoding each journal line and appending it again gives the same bytes
+    # the lines read after the header, appended again, give the same bytes
     cp = tmp_path / "run.json"
     run_cli("search", "--max-modulus", 48, "--checkpoint", cp)
     header = cp.read_bytes().splitlines(keepends=True)[0]
-    entries = load_checkpoint(str(cp)).entries
-    assert [e.modulus for e in entries] == list(range(2, 49, 2))  # one line per modulus
+    journal = load_checkpoint(str(cp))
+    moduli = [json.loads(line)["modulus"] for line in journal.lines]
+    assert moduli == list(range(2, 49, 2))  # one line per modulus
+    assert journal.config.max_modulus == 48
     copy = tmp_path / "copy.json"
     copy.write_bytes(header)
-    for entry in entries:
-        save_checkpoint(str(copy), entry)
+    for line in journal.lines:
+        save_checkpoint(str(copy), line + b"\n")
     assert filecmp.cmp(cp, copy, shallow=False)
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (["--max-modulus", 64],
+     "bf94bdce87d65a0dc796808692e8049ca63162d80d24264ada98b495c18dd03e"),
+    (["--filter-3smooth", "on", "--skip-covered", "--max-modulus", 512],
+     "bff6c9ffe75284560e59b05262514d1e734dec0b9f765806ce54d7c21a0e802c"),
+], ids=["unfiltered-64", "3smooth-skip-covered-512"])
+def test_journal_bytes_are_pinned(tmp_path, flags, digest):
+    # A reader takes a line only in the bytes the search writes, so a change
+    # of the encoding would make every earlier journal unreadable.
+    cp = tmp_path / "run.json"
+    assert run_cli("search", *flags, "--checkpoint", cp) == 0
+    assert hashlib.sha256(cp.read_bytes()).hexdigest() == digest
 
 
 def test_resume_is_byte_identical(tmp_path):
@@ -98,16 +115,16 @@ def test_a_search_stopped_early_leaves_an_empty_csv_and_resumes_whole(tmp_path, 
     run_cli("search", "--max-modulus", 64, "--out", a_csv, "--checkpoint", a_cp)
     save = cli.save_checkpoint
 
-    def save_until_40(path, entry):
-        if entry.modulus == 40:
+    def save_until_40(path, line):
+        if json.loads(line)["modulus"] == 40:
             raise OSError("no space left on device")
-        save(path, entry)
+        save(path, line)
 
     monkeypatch.setattr(cli, "save_checkpoint", save_until_40)
     assert run_cli("search", "--max-modulus", 64, "--out", b_csv, "--checkpoint", b_cp) == 2
     monkeypatch.undo()
     assert b_csv.read_bytes() == b""  # the records of 2..38 are in the journal alone
-    assert load_checkpoint(str(b_cp)).entries[-1].modulus == 38
+    assert load_checkpoint(str(b_cp)).config.max_modulus == 38
     assert run_cli("search", "--max-modulus", 64, "--out", b_csv,
                    "--checkpoint", b_cp, "--resume") == 0
     assert filecmp.cmp(a_csv, b_csv, shallow=False)
@@ -152,12 +169,52 @@ def test_resume_rejects_config_mismatch(tmp_path, capsys):
                    "--resume", "--skip-covered") == 2
 
 
+def _compact(doc):
+    """A journal line in the journal's own encoding."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _edit_journal(path, edit):
     """Decode the lines after the header, apply edit(lines), write them back."""
     header, *lines = path.read_text().splitlines()
     lines = [json.loads(line) for line in lines]
     edit(lines)
-    path.write_text("\n".join([header, *map(json.dumps, lines)]) + "\n")
+    path.write_text("\n".join([header, *map(_compact, lines)]) + "\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--filter-3smooth", "on", "--skip-covered"]],
+                         ids=["unfiltered", "3smooth-skip-covered"])
+def test_an_edit_that_changes_nothing_is_read(tmp_path, capsys, flags):
+    # The control of the tamper tests: their rewrite alone is not rejected.
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp, *flags) == 0
+    kept = cp.read_bytes()
+    _edit_journal(cp, lambda lines: None)
+    assert cp.read_bytes() == kept
+    for command in (["report"], ["coverage"], ["verify", 4, 3, "--k", 10],
+                    ["search", "--max-modulus", 48, "--resume", *flags]):
+        assert run_cli(*command, "--checkpoint", cp) == 0, command
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda line: json.dumps(json.loads(line)),
+    lambda line: _compact(json.loads(line) | {"x": 1}),
+    lambda line: json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":")),
+    lambda line: line + "\r",
+], ids=["spaces", "extra-key", "key-order", "crlf"])
+def test_a_reserialised_journal_is_rejected(tmp_path, capsys, rewrite):
+    # Equal fields in other bytes: a reader takes only the search's own line.
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    header, *lines = cp.read_text().splitlines()
+    lines[4] = rewrite(lines[4])
+    cp.write_text("\n".join([header, *lines]) + "\n")
+    capsys.readouterr()
+    for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2
+        captured = capsys.readouterr()
+        assert f"line 6 of checkpoint {cp} is malformed" in captured.err
+        assert captured.out == ""
 
 
 def _set_examined(lines):
@@ -284,7 +341,7 @@ def test_leaving_out_any_one_record_is_rejected(tmp_path, capsys, flags):
     for i, j in positions:
         line = json.loads(lines[i])
         del line["records"][j]
-        tampered.write_text("\n".join([header, *lines[:i], json.dumps(line), *lines[i + 1:]])
+        tampered.write_text("\n".join([header, *lines[:i], _compact(line), *lines[i + 1:]])
                             + "\n")
         for command in (["report"], ["coverage"],
                         ["search", "--max-modulus", 80, "--resume", *flags]):
@@ -302,6 +359,15 @@ def test_a_line_past_the_last_modulus_is_rejected(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "the replay's density trail does not match" in captured.err
         assert captured.out == ""
+
+
+def test_an_unwritable_journal_leaves_the_out_file_as_it_was(tmp_path):
+    out = tmp_path / "keep.csv"
+    assert run_cli("search", "--max-modulus", 16, "--out", out) == 0
+    kept = out.read_bytes()
+    assert run_cli("search", "--max-modulus", 16, "--out", out,
+                   "--checkpoint", tmp_path / "missing" / "j.jsonl") == 2
+    assert out.read_bytes() == kept
 
 
 def test_an_unwritable_out_leaves_the_journal_as_it_was(tmp_path):
@@ -338,10 +404,14 @@ def _make_a_stop_index_true(lines):
     lines[2]["records"][0][2] = True  # 6k-1 joins at element 1, so true would read as 1
 
 
-@pytest.mark.parametrize("tamper", [_set_density_1_over_0, _quote_a_modulus,
-                                    _make_a_stop_index_true],
-                         ids=["zero-denominator", "string-modulus", "boolean-stop-index"])
-def test_malformed_numbers_are_checkpoint_errors(tmp_path, capsys, tamper):
+@pytest.mark.parametrize("tamper, message", [
+    (_set_density_1_over_0, "the replay's density trail does not match"),
+    (_quote_a_modulus, "the replay's record patterns does not match"),
+    (_make_a_stop_index_true, "the stored certificate of 6k-1 does not hold"),
+], ids=["zero-denominator", "string-modulus", "boolean-stop-index"])
+def test_malformed_numbers_are_checkpoint_errors(tmp_path, capsys, tamper, message):
+    # A line is compared, not decoded: the message names the field that
+    # differs from the search's, with fields compared by their encoding.
     cp = tmp_path / "run.json"
     assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
     _edit_journal(cp, tamper)
@@ -349,7 +419,7 @@ def test_malformed_numbers_are_checkpoint_errors(tmp_path, capsys, tamper):
     for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
         assert run_cli(*command, "--checkpoint", cp) == 2
         captured = capsys.readouterr()
-        assert "is malformed" in captured.err
+        assert message in captured.err
         assert captured.out == ""
 
 
@@ -398,8 +468,9 @@ def test_unreadable_journals_are_rejected(tmp_path, capsys, damage, message):
     assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
     damage(cp)
     capsys.readouterr()
-    for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
-        assert run_cli(*command, "--checkpoint", cp) == 2
+    for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"],
+                    ["verify", 4, 3, "--k", 10]):
+        assert run_cli(*command, "--checkpoint", cp) == 2, command
         assert message in capsys.readouterr().err
 
 
@@ -534,7 +605,13 @@ def test_search_step_cap_breach(capsys, monkeypatch, flags, coeff, cap):
 
 def test_stoptimes_needs_work(capsys):
     assert run_cli("stoptimes") == 2
-    assert run_cli("stoptimes", "--n", 27, "--step-cap", 0) == 2
+
+
+def test_stoptimes_step_cap_breach(capsys, monkeypatch):
+    # The cap is 10^6 steps, not a setting; 27 joins at element 96.
+    monkeypatch.setattr(oracle, "DEFAULT_STEP_CAP", 50)
+    assert run_cli("stoptimes", "--n", 27) == 3
+    assert "step cap breached: trajectory of 27 exceeded 50 steps" in capsys.readouterr().err
 
 
 def test_coverage_summary(tmp_path, capsys):

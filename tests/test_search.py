@@ -288,7 +288,7 @@ def test_run_search_k_verify_smoke():
 
 
 def test_k_verify_failure_stops_before_the_modulus_is_published():
-    def verify(record, k_max, step_cap):
+    def verify(record, k_max):
         ok = record.pattern != PatternClass(12, 1)
         return VerificationReport(k_max, ok, None if ok else 1, "forged")
 
