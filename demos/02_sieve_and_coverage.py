@@ -7,8 +7,9 @@ it builds the symbolic trajectory and certifies the class if either some
 element is pointwise below the anchor (a drop) or some element already
 occurs in the trajectory of an earlier, pointwise-smaller class (a join).
 Certified classes are accumulated in a coverage ledger that keeps the
-covered integers as disjoint residue classes with an exact rational
-density.
+covered integers as a reduced decision diagram over the digits of x
+(x mod 3, x mod 9, ... before the bits of x), whose paths are disjoint
+residue classes; the exact rational density is the measure of its root.
 """
 
 from collatz_sieve import (

@@ -249,21 +249,27 @@ def _restore(path: str, config: SearchConfig | None = None
 def cmd_search(args) -> int:
     config = _build_config(args)
     resume_state = None
-    if args.resume:
-        if not args.checkpoint:
-            print("--resume needs --checkpoint", file=sys.stderr)
-            return EXIT_IO
-        journal, resume_state = _restore(args.checkpoint, config)
-        os.truncate(args.checkpoint, journal.length)  # drop a torn last line
+    if args.resume and not args.checkpoint:
+        print("--resume needs --checkpoint", file=sys.stderr)
+        return EXIT_IO
 
     def after_batch(state: SearchState) -> None:
         save_checkpoint(args.checkpoint, _journal_line(state))
 
-    # The CSV is a view of the finished run's records.  It and a new journal
-    # are both opened before either is emptied, so that a path that cannot be
-    # written fails before any work and leaves the other file as it was.
+    # The CSV is a view of the finished run's records.  It and the journal
+    # are both opened before either is emptied or cut, so that a path that
+    # cannot be written fails before any work and leaves the other file as it was.
+    created = bool(args.out) and not os.path.exists(args.out)
     with open(args.out, "a", newline="") if args.out else contextlib.nullcontext() as out:
-        if args.checkpoint and not args.resume:
+        if args.resume:
+            try:
+                journal, resume_state = _restore(args.checkpoint, config)
+            except BaseException:
+                if created:  # a journal that is not replayed leaves no CSV
+                    os.remove(args.out)
+                raise
+            os.truncate(args.checkpoint, journal.length)  # drop a torn last line
+        elif args.checkpoint:
             with open(args.checkpoint, "ab") as fh:  # a new journal: the header alone
                 fh.truncate(0)
                 fh.write(_encode({"config": _config_echo(config),

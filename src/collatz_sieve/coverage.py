@@ -1,13 +1,12 @@
 """Exact coverage bookkeeping for certified congruence classes.
 
-The integers not yet covered are kept as a union of pairwise disjoint
-residue classes, the survivors, so the open classes of a modulus are read
-off them instead of being proved covered one by one.  Covering a class is
-one refinement of the survivors it meets; the pieces they lose are stored
-as the covered classes, also disjoint, so the natural density is simply
-the sum of 1/modulus over them, as an exact rational.  This sidesteps
-materializing residues modulo the running LCM, which quickly becomes
-astronomically large, while staying exact.
+The covered integers are a reduced ordered decision diagram over the
+p-adic digits of x, larger primes first, low digits first within a prime.
+A class rho mod m fixes the low e digits of each p^e exactly dividing m, a
+cube, so covering it is one union.  The reduced diagram depends only on the
+covered set: the exact density is its root's measure, and its paths are
+disjoint residue classes.  This sidesteps materializing residues modulo the
+running LCM, which quickly becomes astronomically large, while staying exact.
 
 A residue class here uses value semantics: the pattern b*k - c covers the
 integers congruent to -c (mod b).
@@ -15,9 +14,10 @@ integers congruent to -c (mod b).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .search import PatternClass
@@ -41,127 +41,185 @@ def from_pattern(pattern: "PatternClass") -> ResidueClass:
     return residue_class(pattern.modulus, -pattern.remainder)
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    if n % 3 == 0:
-        return 3
-    f = 5
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
+OPEN, COVERED = 0, 1  # the terminal nodes
+_COLLECT_FACTOR = 4  # nodes are collected once the table holds 4x the live ones
 
 
-def _meeting(residues: set[int], modulus: int, m: int, rho: int) -> list[int]:
-    """The residues in `residues` (all mod `modulus`) whose class meets rho mod m.
-
-    Two classes meet iff their residues agree mod the gcd of the moduli, so
-    this tries whichever is fewer: the stored residues or the candidates.
-    """
-    g = math.gcd(modulus, m)
-    rho_g = rho % g
-    if modulus // g <= len(residues):
-        return [x for x in range(rho_g, modulus, g) if x in residues]
-    return [x for x in residues if x % g == rho_g]
+def _variable(p: int, i: int) -> int:
+    """The order key of digit i of x in base p: larger primes first, then
+    lower digits; every key is negative, below the terminals' level 0."""
+    return i - (p << 32)
 
 
-def _sorted_classes(by_modulus: dict[int, set[int]]) -> tuple[ResidueClass, ...]:
-    return tuple(sorted(
-        ResidueClass(m, r) for m, residues in by_modulus.items() for r in residues
-    ))
+@functools.lru_cache(maxsize=4096)  # the moduli of a run and their gcds with its lcm
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) for each p^e exactly dividing n, larger primes first."""
+    found, p = [], 2
+    while n > 1:
+        p = p if p * p <= n else n
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        found += [(p, e)] if e else []
+        p += 1
+    return tuple(reversed(found))
 
 
 class CoverageLedger:
-    """Disjoint union of residue classes with an exact running density.
+    """The covered integers as a reduced decision diagram, exact density.
 
-    The ledger keeps the survivors, the uncovered integers as disjoint
-    residue classes, from 0 mod 1 on.  Adding a class refines each
-    survivor that meets it one prime at a time until the piece inside the
-    class comes off; the other pieces stay survivors.  The pieces that come
-    off are the stored covered classes, and their density is the gain.
-    Refining the incoming class against the stored classes instead gives
-    the same classes on every search tried, but not in general: after
-    0 mod 2 and 9 mod 12, 5 mod 18 comes off as 5 and 23 mod 36.
-    Density and disjointness hold either way.
+    A node is an int indexing `_levels`, the variable it branches on, and
+    `_kids`, its child per digit value; a unique table shares equal nodes.
+    The lcm is that of the moduli of the classes that gained.
     """
 
     def __init__(self) -> None:
-        self._by_modulus: dict[int, set[int]] = {}
-        self._survivors: dict[int, set[int]] = {1: {0}}
-        self._density = Fraction(0)
+        self._root, self._lcm, self._live, self._open = OPEN, 1, 0, {}
+        self._levels, self._kids = [0, 0], [(), ()]  # the terminals
+        self._collect()
+
+    def _mk(self, level: int, kids: tuple[int, ...]) -> int:
+        if kids.count(kids[0]) == len(kids):
+            return kids[0]
+        node = self._unique.get((level, kids))
+        if node is None:
+            node = self._unique[(level, kids)] = len(self._levels)
+            self._levels.append(level)
+            self._kids.append(kids)
+        return node
+
+    def _collect(self) -> None:
+        """Renumber the nodes the root reaches, once the table has outgrown them."""
+        if len(self._levels) <= _COLLECT_FACTOR * self._live:
+            return
+        levels, kids, moved = self._levels, self._kids, {OPEN: OPEN, COVERED: COVERED}
+        self._levels, self._kids, self._unique = [0, 0], [(), ()], {}
+        self._measures = {OPEN: (0, 1), COVERED: (1, 1)}
+
+        def move(u: int) -> int:
+            if u not in moved:
+                moved[u] = self._mk(levels[u], tuple(map(move, kids[u])))
+            return moved[u]
+
+        self._root = move(self._root)
+        self._live = len(self._levels)
+
+    def _combine(self, absorbing: int) -> Callable[[int, int], int]:
+        """Union (absorbing COVERED) or intersection (absorbing OPEN), memoized."""
+        levels, kids, mk, unit = self._levels, self._kids, self._mk, 1 - absorbing
+
+        @functools.lru_cache(maxsize=None)
+        def combine(a: int, b: int) -> int:
+            if a == b or b == unit or a == absorbing:
+                return a
+            if a == unit or b == absorbing:
+                return b
+            level = min(levels[a], levels[b])
+            left = kids[a] if levels[a] == level else (a,) * len(kids[b])
+            right = kids[b] if levels[b] == level else (b,) * len(kids[a])
+            return mk(level, tuple(map(combine, left, right)))
+
+        return combine
+
+    def _cube(self, m: int, rho: int) -> int:
+        """The diagram of rho mod m: the digits it fixes lead to COVERED."""
+        node = COVERED
+        for p, e in _prime_powers(m)[::-1]:
+            for i in reversed(range(e)):
+                node = self._mk(_variable(p, i), tuple(
+                    node if d == rho // p**i % p else OPEN for d in range(p)))
+        return node
+
+    def _measure(self, u: int) -> tuple[int, int]:
+        """(numerator, denominator) of the covered share below node u."""
+        found = self._measures.get(u)
+        if found is None:
+            num, den = 0, 1
+            for n, d in map(self._measure, self._kids[u]):
+                lcm = den if den % d == 0 else math.lcm(den, d)
+                num, den = num * (lcm // den) + n * (lcm // d), lcm
+            found = self._measures[u] = (num, den * len(self._kids[u]))
+        return found
+
+    def _classes(self, terminal: int, root: int) -> tuple[ResidueClass, ...]:
+        """The paths from root to `terminal` as disjoint residue classes,
+        sorted; free digits below a fixed digit of the same prime expand."""
+        levels, kids, found = self._levels, self._kids, []
+
+        def walk(u: int, modulus: int, residue: int) -> None:
+            if u in (OPEN, COVERED):
+                found.extend([ResidueClass(modulus, residue)] if u == terminal else [])
+                return
+            p, i = len(kids[u]), levels[u] + (len(kids[u]) << 32)  # see _variable
+            step = p ** (i + 1) // math.gcd(modulus, p ** (i + 1))
+            for x in range(residue, modulus * step, modulus):
+                walk(kids[u][x // p**i % p], modulus * step, x)
+
+        walk(root, 1, 0)
+        return tuple(sorted(found))
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._by_modulus.values())
+        return len(self.stored_classes())
 
     def stored_classes(self) -> tuple[ResidueClass, ...]:
-        return _sorted_classes(self._by_modulus)
+        """The covered integers as the diagram's disjoint residue classes."""
+        return self._classes(COVERED, self._root)
 
     def survivors(self) -> tuple[ResidueClass, ...]:
-        """The uncovered integers as disjoint residue classes, sorted."""
-        return _sorted_classes(self._survivors)
+        """The uncovered integers as the diagram's disjoint residue classes."""
+        return self._classes(OPEN, self._root)
 
     def density(self) -> Fraction:
-        return self._density
+        return Fraction(*self._measure(self._root))
 
     def recomputed_density(self) -> Fraction:
-        # Independent of the running sum; used as a self-check in tests.
-        return sum(
-            (Fraction(len(rs), m) for m, rs in self._by_modulus.items()),
-            Fraction(0),
-        )
+        # Independent of the root's measure; used as a self-check in tests.
+        return sum((Fraction(1, m) for m, _ in self.stored_classes()), Fraction(0))
 
     def lcm_of_moduli(self) -> int:
-        """LCM of the stored (refined) moduli; 1 for an empty ledger."""
-        return math.lcm(*self._by_modulus.keys()) if self._by_modulus else 1
+        """LCM of the moduli of the classes that gained; 1 for an empty ledger."""
+        return self._lcm
 
     def add_class(self, r: ResidueClass) -> Fraction:
         """Cover the members of r; returns the exact density gain."""
         m, rho = residue_class(*r)
-        hits = [
-            (modulus, s)
-            for modulus, residues in self._survivors.items()
-            for s in _meeting(residues, modulus, m, rho)
-        ]
-        came_off: dict[int, int] = {}  # modulus -> pieces stored at it
-        for modulus, s in hits:
-            self._survivors[modulus].discard(s)
-            while modulus % m:  # s is not inside r yet
-                p = _smallest_prime_factor(m // math.gcd(modulus, m))
-                finer = modulus * p
-                g = math.gcd(finer, m)
-                pieces = [s + j * modulus for j in range(p)]
-                s = next(x for x in pieces if x % g == rho % g)
-                self._survivors.setdefault(finer, set()).update(
-                    x for x in pieces if x != s
-                )
-                modulus = finer
-            self._by_modulus.setdefault(modulus, set()).add(s)
-            came_off[modulus] = came_off.get(modulus, 0) + 1
-        for emptied in {mod for mod, _ in hits if not self._survivors[mod]}:
-            del self._survivors[emptied]
-        gain = sum((Fraction(count, mod) for mod, count in came_off.items()), Fraction(0))
-        self._density += gain
-        return gain
+        root = self._combine(COVERED)(self._root, self._cube(m, rho))
+        if root == self._root:
+            return Fraction(0)
+        before = self.density()
+        self._root, self._lcm, self._open = root, math.lcm(self._lcm, m), {}
+        self._collect()
+        return self.density() - before
 
     def covers(self, r: ResidueClass) -> bool:
-        """True iff every member of r is already covered (read-only)."""
-        m, rho = residue_class(*r)
-        return not any(
-            _meeting(residues, modulus, m, rho)
-            for modulus, residues in self._survivors.items()
-        )
+        """True iff every member of r is already covered."""
+        cube = self._cube(*residue_class(*r))
+        return self._combine(OPEN)(self._root, cube) == cube
 
     def open_residues(self, modulus: int) -> list[int]:
         """Residues mod `modulus`, ascending, whose class is not yet fully
-        covered, i.e. meets a survivor."""
-        out: set[int] = set()
-        for m, residues in self._survivors.items():
-            g = math.gcd(m, modulus)
-            for base in {s % g for s in residues}:
-                out.update(range(base, modulus, g))
-        return sorted(out)
+        covered.  The covered set depends on x mod L only, L the lcm, so the
+        open classes are read off mod g = gcd(modulus, L): a class mod g is
+        closed when all its completions are, so the branches of the digits
+        that g leaves free are intersected first."""
+        g = math.gcd(modulus, self._lcm)
+        if g not in self._open:  # kept until the covered set changes
+            fixed = {_variable(p, i) for p, e in _prime_powers(g) for i in range(e)}
+            levels, kids, meet = self._levels, self._kids, self._combine(OPEN)
+
+            @functools.lru_cache(maxsize=None)
+            def closed(u: int) -> int:  # the classes mod g that u covers
+                if u in (OPEN, COVERED):
+                    return u
+                below = tuple(map(closed, kids[u]))
+                if levels[u] in fixed:
+                    return self._mk(levels[u], below)
+                return functools.reduce(meet, below)
+
+            self._open[g] = sorted(r + k for m, r in self._classes(OPEN, closed(self._root))
+                                   for k in range(0, g, m))
+            self._collect()
+        return [x + k for k in range(0, modulus, g) for x in self._open[g]]
 
     @classmethod
     def from_classes(cls, classes: Iterable[ResidueClass]) -> "CoverageLedger":

@@ -379,6 +379,18 @@ def test_an_unwritable_out_leaves_the_journal_as_it_was(tmp_path):
     assert cp.read_bytes() == kept
 
 
+def test_resume_with_an_unwritable_out_fails_before_the_replay(tmp_path, monkeypatch):
+    cp = tmp_path / "keep.json"
+    assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp) == 0
+    with open(cp, "ab") as fh:
+        fh.write(b'{"modulus":66,"rec')  # a torn last line, which a resume cuts
+    kept = cp.read_bytes()
+    monkeypatch.setattr(cli, "rebuild_state", lambda *args: pytest.fail("replayed"))
+    assert run_cli("search", "--max-modulus", 80, "--checkpoint", cp, "--resume",
+                   "--out", tmp_path / "missing" / "x.csv") == 2
+    assert cp.read_bytes() == kept
+
+
 @pytest.mark.parametrize("index, value", [(1, "1/3"), (-1, "1/1"), (0, "-1/2")],
                          ids=["decreasing", "not-the-final-density", "negative"])
 def test_report_rejects_an_impossible_density_trail(tmp_path, capsys, index, value):
@@ -623,7 +635,12 @@ def test_coverage_summary(tmp_path, capsys):
     assert "density 5/6 = 83.33333%" in text
     assert "lcm of stored moduli: 12" in text
     assert "lcm of certified pattern moduli: 12" in text
-    assert "11 mod 12" in text
+    # the diagram's canonical classes: x mod 3 first, then the bits of x
+    assert text.endswith("disjoint residue classes: 5\n"
+                         "density 5/6 = 83.33333%\n"
+                         "lcm of stored moduli: 12\n"
+                         "lcm of certified pattern moduli: 12\n"
+                         "  2 mod 3\n  0 mod 6\n  4 mod 6\n  1 mod 12\n  9 mod 12\n")
 
 
 def test_pattern_moduli_lcm_can_exceed_the_stored_one(tmp_path, capsys):

@@ -15,6 +15,7 @@ from collatz_sieve import (
     residue_class,
     rounded_percent,
 )
+from refining_ledger import RefiningLedger
 
 
 def test_from_pattern():
@@ -206,19 +207,37 @@ def test_survivors_examples():
     assert ledger.survivors() == ()
     assert ledger.open_residues(8) == []
 
-    ledger = CoverageLedger.from_classes([ResidueClass(2, 0), ResidueClass(12, 9)])
-    assert ledger.survivors() == (
+    # The survivor refinement's decomposition depends on history: 5 mod 18
+    # meets 3 mod 4 in 23 mod 36 and 5 mod 12 in 5 mod 36.  Refining 5 mod 18
+    # against the stored classes instead would store it whole.
+    oracle = RefiningLedger.from_classes([ResidueClass(2, 0), ResidueClass(12, 9)])
+    assert oracle.survivors() == (
         ResidueClass(4, 3), ResidueClass(12, 1), ResidueClass(12, 5))
-    # 5 mod 18 meets 3 mod 4 in 23 mod 36 and 5 mod 12 in 5 mod 36.  Refining
-    # 5 mod 18 against the stored classes instead would store it whole.
-    assert ledger.add_class(ResidueClass(18, 5)) == Fraction(1, 18)
-    assert ledger.stored_classes() == (
+    assert oracle.add_class(ResidueClass(18, 5)) == Fraction(1, 18)
+    assert oracle.stored_classes() == (
         ResidueClass(2, 0), ResidueClass(12, 9), ResidueClass(36, 5), ResidueClass(36, 23))
-    assert ledger.survivors() == (
+    assert oracle.survivors() == (
         ResidueClass(12, 1), ResidueClass(12, 3), ResidueClass(12, 7),
         ResidueClass(36, 11), ResidueClass(36, 17), ResidueClass(36, 29),
         ResidueClass(36, 35))
-    assert ledger.density() == Fraction(23, 36)
+    assert oracle.density() == Fraction(23, 36)
+
+
+def test_diagram_classes_are_canonical():
+    # The diagram branches on x mod 3 before the bits of x, and its classes
+    # are its paths, whatever order the classes came in.
+    classes = [ResidueClass(2, 0), ResidueClass(12, 9), ResidueClass(18, 5)]
+    for order in (classes, classes[::-1]):
+        ledger = CoverageLedger.from_classes(order)
+        assert ledger.stored_classes() == (
+            ResidueClass(6, 0), ResidueClass(6, 4), ResidueClass(9, 5),
+            ResidueClass(12, 9), ResidueClass(18, 2), ResidueClass(18, 8))
+        assert ledger.survivors() == (
+            ResidueClass(6, 1), ResidueClass(12, 3), ResidueClass(18, 11),
+            ResidueClass(18, 17))
+        assert len(ledger) == 6
+        assert ledger.density() == Fraction(23, 36)
+        assert ledger.lcm_of_moduli() == 36
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,3 +252,30 @@ def test_open_residues_and_covers_match_residue_marking(classes, b, data):
     assert ledger.open_residues(b) == expected
     r = data.draw(st.integers(0, b - 1))
     assert ledger.covers(ResidueClass(b, r)) == (r not in expected)
+
+
+# Moduli over the primes 2 to 11 whose lcm stays below 10^5, so that both
+# ledgers' survivors can be listed.
+PRIME_MODULI = sorted(
+    {2**a * 3**b * 5**c * 7**d * 11**e
+     for a in range(4) for b in range(3) for c in range(2) for d in range(2) for e in range(2)
+     if 5**c * 7**d * 11**e <= 77}
+)[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PRIME_MODULI), st.integers(0, 10**6)),
+                min_size=1, max_size=10),
+       st.sampled_from(PRIME_MODULI + [2 * 509]), st.data())
+def test_diagram_matches_the_refinement(classes, b, data):
+    ledger, oracle = CoverageLedger(), RefiningLedger()
+    for m, rho in classes:
+        r = residue_class(m, rho)
+        assert ledger.add_class(r) == oracle.add_class(r)
+        assert ledger.density() == oracle.density()
+        assert ledger.lcm_of_moduli() == oracle.lcm_of_moduli()
+        assert ledger.open_residues(b) == oracle.open_residues(b)
+        probe = ResidueClass(b, data.draw(st.integers(0, b - 1)))
+        assert ledger.covers(probe) == oracle.covers(probe)
+        assert sum((Fraction(1, m) for m, _ in ledger.survivors()), Fraction(0)) == (
+            1 - oracle.density())

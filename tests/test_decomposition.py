@@ -1,64 +1,23 @@
-"""The coverage ledger's stored classes held to the former decomposition.
+"""The coverage ledger held to the survivor refinement inside real searches.
 
-`Decomposition` refines each incoming class against the covered classes
-stored so far: a fragment inside one of them adds nothing, a fragment that
-misses them all is stored, and any other fragment is split by the smallest
-prime that separates it from a class it meets.  The ledger instead stores
-the pieces its survivors lose.  The two agree on searches, which a search
-run with `CheckedLedger` in place of the ledger asserts after every class;
-they differ on some other sequences (see test_survivors_examples).
+`CheckedLedger` runs the refinement (`RefiningLedger`, the ledger's former
+implementation) beside the decision diagram and asserts after every class
+and every modulus that the two give the same gain, density, lcm and open
+residues.  A search and its replay run with it in place of the ledger.
 """
 
-import math
-from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from collatz_sieve import (
     CoverageLedger,
-    ResidueClass,
     SearchConfig,
     from_pattern,
-    residue_class,
     run_search,
     search,
 )
-from collatz_sieve.coverage import _smallest_prime_factor
-
-
-def _meets(a, b):
-    g = math.gcd(a.modulus, b.modulus)
-    return a.residue % g == b.residue % g
-
-
-class Decomposition:
-    def __init__(self):
-        self.stored = set()
-
-    def add(self, r):
-        self._add(r, [c for c in self.stored if _meets(r, c)])
-
-    def _add(self, r, met):
-        m, rho = r
-        split_prime = 0
-        for m2, _ in met:
-            if m % m2 == 0:
-                return
-            p = _smallest_prime_factor(m2 // math.gcd(m, m2))
-            split_prime = min(split_prime or p, p)
-        if not split_prime:
-            self.stored.add(r)
-            return
-        for j in range(split_prime):
-            child = ResidueClass(m * split_prime, rho + j * m)
-            self._add(child, [c for c in met if _meets(child, c)])
-
-    def classes(self):
-        return tuple(sorted(self.stored))
-
-    def density(self):
-        return sum((Fraction(1, m) for m, _ in self.stored), Fraction(0))
+from refining_ledger import RefiningLedger
 
 
 class CheckedLedger(CoverageLedger):
@@ -66,22 +25,26 @@ class CheckedLedger(CoverageLedger):
 
     def __init__(self):
         super().__init__()
-        self.oracle = Decomposition()
+        self.oracle = RefiningLedger()
         CheckedLedger.made.append(self)
 
     def add_class(self, r):
         gain = super().add_class(r)
-        self.oracle.add(residue_class(*r))
-        assert self.stored_classes() == self.oracle.classes(), r
+        assert gain == self.oracle.add_class(r), r
         assert self.density() == self.oracle.density(), r
+        assert self.lcm_of_moduli() == self.oracle.lcm_of_moduli(), r
         return gain
+
+    def open_residues(self, modulus):
+        found = super().open_residues(modulus)
+        assert found == self.oracle.open_residues(modulus), modulus
+        return found
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 100), st.booleans(), st.booleans(), st.booleans())
-def test_search_ledger_stores_the_former_decomposition(half, filter_3smooth,
-                                                       skip_covered,
-                                                       join_targets_3smooth):
+def test_search_ledger_matches_the_refinement(half, filter_3smooth, skip_covered,
+                                              join_targets_3smooth):
     config = SearchConfig(2 * half, filter_3smooth=filter_3smooth,
                           skip_covered=skip_covered,
                           join_targets_3smooth=join_targets_3smooth)
@@ -90,11 +53,11 @@ def test_search_ledger_stores_the_former_decomposition(half, filter_3smooth,
         summary = run_search(config)
         search.rebuild_state(config, config.max_modulus)
     # The search hands the ledger only the records of classes still open at
-    # their modulus; the decomposition of every record must come out the same.
-    every_record = Decomposition()
-    for record in summary.records:
-        every_record.add(from_pattern(record.pattern))
+    # their modulus; every record covers the same set.
+    every_record = CoverageLedger.from_classes(
+        from_pattern(record.pattern) for record in summary.records)
     assert len(CheckedLedger.made) == 2  # the search's ledger and the replay's
     for ledger in CheckedLedger.made:
-        assert ledger.stored_classes() == every_record.classes()
+        assert ledger.stored_classes() == every_record.stored_classes()
         assert ledger.density() == every_record.density() == summary.final_density
+        assert ledger.lcm_of_moduli() == every_record.lcm_of_moduli()

@@ -21,6 +21,7 @@ from collatz_sieve import (
     check_class,
     enumerate_classes,
     format_percent,
+    from_pattern,
     is_3smooth_even,
     iter_modified_stops,
     pattern_trajectory,
@@ -33,6 +34,7 @@ from collatz_sieve.cli import _record_to_row
 from collatz_sieve import oracle, search
 from collatz_sieve.affine import v2
 from collatz_sieve.search import DuplicateRegistrationError, _moduli, walk_modulus
+from refining_ledger import RefiningLedger
 
 
 def registry_through(max_modulus, filter_3smooth=False):
@@ -240,10 +242,12 @@ def test_run_search_skip_covered_same_density():
 def test_skip_covered_search_to_4096_is_pinned():
     # SHA-256 of the stored coverage classes, density trail and record rows
     # of a filtered skip-covered search to 4096, as the ledger produced them
-    # while it still proved every skipped class covered one by one.
+    # while it still proved every skipped class covered one by one.  The
+    # survivor refinement, fed the search's records, stores those classes.
     summary = run_search(SearchConfig(max_modulus=4096, filter_3smooth=True,
                                       skip_covered=True))
-    doc = {"stored_classes": [list(c) for c in summary.ledger.stored_classes()],
+    refined = RefiningLedger.from_classes(from_pattern(r.pattern) for r in summary.records)
+    doc = {"stored_classes": [list(c) for c in refined.stored_classes()],
            "trail": [[m, str(d)] for m, d in summary.checkpoints],
            "records": [_record_to_row(r) for r in summary.records]}
     assert (len(summary.records), summary.examined, summary.skipped) == (65, 21230, 17749)
@@ -280,6 +284,23 @@ def test_filtered_skip_covered_search_to_2pow15_is_pinned():
     assert len(summary.records) == 255
     assert format_percent(summary.final_density) == "98.73278%"
     assert summary.lcm_stored_moduli == 71_663_616
+
+
+def test_filtered_skip_covered_search_to_2pow17_is_pinned():
+    # Records, counts and registry digest of the run to 2^17, and SHA-256 of
+    # its density trail and record rows, as the survivor refinement gave them.
+    summary = run_search(SearchConfig(max_modulus=2**17, filter_3smooth=True,
+                                      skip_covered=True))
+    doc = {"trail": [[m, str(d)] for m, d in summary.checkpoints],
+           "records": [_record_to_row(r) for r in summary.records]}
+    assert (len(summary.records), summary.examined, summary.skipped) == (821, 997_584, 865_633)
+    assert summary.final_density == Fraction(283_868_405, 286_654_464)
+    assert format_percent(summary.final_density) == "99.02808%"
+    assert summary.lcm_stored_moduli == 2_579_890_176
+    assert summary.registry.digest() == (
+        "485d5fd005f63bf7de9596ea875d06eed96c58ec552812c7a77f6df543c73e78")
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
+        "9fa2dbaf21a808e02012508acb1f8ea779c4160f8b7031c41c6908f7acee4a82")
 
 
 def test_run_search_k_verify_smoke():
