@@ -55,7 +55,6 @@ from .search import (
     TrajectoryRegistry,
     analyze_moduli,
     check_class,
-    enumerate_classes,
     is_3smooth_even,
     pattern_trajectory,
     run_search,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -29,7 +30,6 @@ from .search import (
     check_class,
     rebuild_state,
     run_search,
-    seed_record,
     unfiltered_registry,
     validate_pattern_class,
 )
@@ -55,27 +55,12 @@ class CheckpointError(Exception):
 # counts so far and the registry digest.  A last line without its newline was
 # cut short by a kill: readers ignore it and a resumed search truncates it.
 # Every line is written by `_encode`, compact with sorted keys, and a reader
-# takes a line after the header only if it is, byte for byte, the line the
-# search writes there: only the header and the last line's modulus are
-# decoded to read a journal.
+# takes a line, the header included, only if it is, byte for byte, the line
+# the search writes there: only the header's settings and the last line's
+# modulus are decoded to read a journal.
 
-# Caps the header names that are not settings: the trajectory cap is always
-# the proved bound plus slack, and a first member is settled numerically
-# within the oracle's default step cap.
-_FIXED_CAPS = {"step_cap": None, "numeric_step_cap": oracle.DEFAULT_STEP_CAP}
-
-
-def _config_echo(config: SearchConfig) -> dict:
-    # Spelled out, not derived from the dataclass, so the journal format
-    # changes only when this function does.  No max_modulus: a journal's
-    # frontier is its last line.
-    return {
-        "filter_3smooth": config.filter_3smooth,
-        "skip_covered": config.skip_covered,
-        "join_targets_3smooth": config.join_targets_3smooth,
-        "k_verify": config.k_verify,
-        **_FIXED_CAPS,
-    }
+# A header's settings: the SearchConfig fields but max_modulus, the last line's.
+_SETTINGS = [f for f in dataclasses.fields(SearchConfig) if f.name != "max_modulus"]
 
 
 def _record_to_row(rec: SuccessRecord) -> list:
@@ -113,6 +98,21 @@ def _encode(value: object) -> bytes:
     return (json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def _header(config: SearchConfig) -> bytes:
+    """The journal's first line.  Spelled out, not derived from the dataclass,
+    so the journal format changes only when this function does.  The caps are
+    not settings: the trajectory cap is always the proved bound plus slack,
+    and a first member is settled numerically within the oracle's default
+    step cap."""
+    return _encode({"config": {"filter_3smooth": config.filter_3smooth,
+                               "skip_covered": config.skip_covered,
+                               "join_targets_3smooth": config.join_targets_3smooth,
+                               "k_verify": config.k_verify,
+                               "step_cap": None,
+                               "numeric_step_cap": oracle.DEFAULT_STEP_CAP},
+                    "format_version": CHECKPOINT_VERSION})
+
+
 def save_checkpoint(path: str, line: bytes) -> None:
     """Append one line to the journal at path."""
     with open(path, "ab") as fh:
@@ -120,8 +120,9 @@ def save_checkpoint(path: str, line: bytes) -> None:
 
 
 def load_checkpoint(path: str) -> Journal:
-    """Read a journal: its header is parsed and checked, and of the lines
-    after it only the last one's modulus, which bounds a replay."""
+    """Read a journal: its header's settings, each read by its field's type,
+    and of the lines after it only the last one's modulus, which bounds a
+    replay.  The header must be the bytes `_header` writes for them."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -145,17 +146,19 @@ def load_checkpoint(path: str) -> Journal:
         last = None
     if not (isinstance(last, dict) and _ints(last.get("modulus"))):
         raise CheckpointError(f"line {len(lines)} of checkpoint {path} is malformed")
-    # each header value must have the type of its field, and the caps their values
-    echo, kinds = header.get("config"), _config_echo(SearchConfig(max_modulus=2))
-    if not (isinstance(echo, dict) and echo.keys() == kinds.keys() and all(
-            type(value) is type(kinds[key]) for key, value in echo.items())
-            and echo.items() >= _FIXED_CAPS.items()):
-        raise CheckpointError(f"checkpoint {path} has a malformed configuration header")
-    settings = {key: value for key, value in echo.items() if key not in _FIXED_CAPS}
+    malformed = CheckpointError(f"checkpoint {path} has a malformed configuration header")
+    try:
+        settings = {f.name: type(f.default)(header["config"][f.name]) for f in _SETTINGS}
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        raise malformed from None
     try:
         config = SearchConfig(max_modulus=last["modulus"], **settings)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} cannot be replayed: {exc}") from None
+    # a setting of another type, an unknown key, a cap that is not fixed,
+    # spaces or another key order: bytes the search does not write
+    if lines[0] + b"\n" != _header(config):
+        raise malformed
     return Journal(config, lines[1:], len(data) - len(torn))
 
 
@@ -223,10 +226,10 @@ def _restore(path: str, config: SearchConfig | None = None
     costs nothing.  A journal with no modulus yet gives no state, and
     `config`, when given, must match the header."""
     journal = load_checkpoint(path)
-    stored = _config_echo(journal.config)
-    for key, value in _config_echo(config).items() if config else ():
-        if stored[key] != value:
-            raise CheckpointError(f"checkpoint was produced with {key}={stored[key]!r}, "
+    for f in _SETTINGS if config else ():
+        stored, value = getattr(journal.config, f.name), getattr(config, f.name)
+        if stored != value:
+            raise CheckpointError(f"checkpoint was produced with {f.name}={stored!r}, "
                                   f"current run has {value!r}")
     if not journal.lines:
         return journal, None
@@ -240,7 +243,7 @@ def _restore(path: str, config: SearchConfig | None = None
             raise CheckpointError(_difference(line, derived,
                                               f"line {number} of checkpoint {path}"))
 
-    state = rebuild_state(journal.config, journal.config.max_modulus, check)
+    state = rebuild_state(journal.config, check)
     if next(lines, None) is not None:
         raise CheckpointError("the replay's density trail does not match the checkpoint")
     return journal, state
@@ -254,7 +257,8 @@ def cmd_search(args) -> int:
         return EXIT_IO
 
     def after_batch(state: SearchState) -> None:
-        save_checkpoint(args.checkpoint, _journal_line(state))
+        if args.checkpoint:
+            save_checkpoint(args.checkpoint, _journal_line(state))
 
     # The CSV is a view of the finished run's records.  It and the journal
     # are both opened before either is emptied or cut, so that a path that
@@ -272,12 +276,10 @@ def cmd_search(args) -> int:
         elif args.checkpoint:
             with open(args.checkpoint, "ab") as fh:  # a new journal: the header alone
                 fh.truncate(0)
-                fh.write(_encode({"config": _config_echo(config),
-                                  "format_version": CHECKPOINT_VERSION}))
+                fh.write(_header(config))
         if out is not None:
             out.truncate(0)
-        state = run_search(config, after_batch=after_batch if args.checkpoint else None,
-                           resume=resume_state)
+        state = run_search(config, after_batch=after_batch, resume=resume_state)
         if out is not None:
             _emit_table(map(_record_cells, state.records), CSV_HEADER, "csv", out)
 
@@ -425,10 +427,7 @@ def cmd_verify(args) -> int:
                                       f"is malformed: {exc}") from None
             rec = rec or next((r for r in records if r.pattern == cls), None)
     if rec is None:
-        if cls == PatternClass(2, 0):
-            rec = seed_record()
-        else:
-            rec = check_class(cls, unfiltered_registry(cls.modulus - 2))
+        rec = check_class(cls, unfiltered_registry(cls.modulus - 2))
     if rec is None:
         print(f"no certificate exists for {cls.modulus}k-{cls.remainder} "
               f"at modulus {cls.modulus}")
@@ -455,15 +454,14 @@ def cmd_coverage(args) -> int:
     _, state = _restore(args.checkpoint)
     if state is None:
         raise CheckpointError(f"checkpoint {args.checkpoint} records no modulus yet")
-    classes = state.ledger.stored_classes()
     print(f"frontier modulus: {state.frontier_modulus}")
     print(f"certified classes: {state.success_count}")
-    print(f"disjoint residue classes: {len(classes)}")
+    print(f"disjoint residue classes: {len(state.ledger)}")
     print(f"density {state.final_density} = {format_percent(state.final_density)}")
     print(f"lcm of stored moduli: {state.lcm_stored_moduli}")
     print(f"lcm of certified pattern moduli: {state.lcm_pattern_moduli}")
     if args.classes:
-        for m, r in classes:
+        for m, r in state.ledger.stored_classes():
             print(f"  {r} mod {m}")
     return EXIT_OK
 

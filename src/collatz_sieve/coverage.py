@@ -43,6 +43,7 @@ def from_pattern(pattern: "PatternClass") -> ResidueClass:
 
 OPEN, COVERED = 0, 1  # the terminal nodes
 _COLLECT_FACTOR = 4  # nodes are collected once the table holds 4x the live ones
+PERCENT_DECIMALS = 5  # the places of format_percent
 
 
 def _variable(p: int, i: int) -> int:
@@ -159,7 +160,21 @@ class CoverageLedger:
         return tuple(sorted(found))
 
     def __len__(self) -> int:
-        return len(self.stored_classes())
+        """The number of stored classes, counted on the diagram: above a node
+        on digit i of p, with digits 0..e-1 of p fixed on the path, `_classes`
+        expands the free digits e..i-1 into p^(i-e) classes."""
+        levels, kids = self._levels, self._kids
+
+        @functools.lru_cache(maxsize=None)
+        def count(u: int, e: int) -> int:
+            if u in (OPEN, COVERED):
+                return u  # COVERED is one class, OPEN none
+            p = len(kids[u])
+            i = levels[u] + (p << 32)  # see _variable
+            return p ** (i - e) * sum(count(v, i + 1 if len(kids[v]) == p else 0)
+                                      for v in kids[u])
+
+        return count(self._root, 0)
 
     def stored_classes(self) -> tuple[ResidueClass, ...]:
         """The covered integers as the diagram's disjoint residue classes."""
@@ -245,9 +260,9 @@ def brute_force_density(classes: Iterable[ResidueClass], L: int) -> Fraction:
     return Fraction(sum(covered), L)
 
 
-def rounded_percent(value: Fraction, decimals: int = 5) -> Fraction:
-    """The percent value after exact half-up rounding to `decimals` places."""
-    scale = 10**decimals
+def rounded_percent(value: Fraction) -> Fraction:
+    """The percent value after exact half-up rounding to PERCENT_DECIMALS places."""
+    scale = 10**PERCENT_DECIMALS
     num = value.numerator * 100 * scale
     q, rem = divmod(num, value.denominator)
     if 2 * rem >= value.denominator:
@@ -255,11 +270,11 @@ def rounded_percent(value: Fraction, decimals: int = 5) -> Fraction:
     return Fraction(q, scale)
 
 
-def format_percent(value: Fraction, decimals: int = 5) -> str:
+def format_percent(value: Fraction) -> str:
     """Exact half-up rounding of a fraction of 1 to a percent string."""
-    scale = 10**decimals
-    whole, frac_part = divmod(int(rounded_percent(value, decimals) * scale), scale)
-    return f"{whole}.{frac_part:0{decimals}d}%"
+    scale = 10**PERCENT_DECIMALS
+    whole, frac_part = divmod(int(rounded_percent(value) * scale), scale)
+    return f"{whole}.{frac_part:0{PERCENT_DECIMALS}d}%"
 
 
 class DeltaReport(NamedTuple):

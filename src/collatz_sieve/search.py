@@ -341,15 +341,6 @@ def _moduli(max_modulus: int, filter_3smooth: bool, start_after: int = 2) -> Ite
             yield modulus
 
 
-def enumerate_classes(max_modulus: int, filter_3smooth: bool = False) -> Iterator[PatternClass]:
-    """Candidate classes up to max_modulus, one by one in canonical order."""
-    if max_modulus < 4:
-        raise ValueError(f"max_modulus must be >= 4, got {max_modulus}")
-    for modulus in _moduli(max_modulus, filter_3smooth):
-        # Remainders descending: smallest member values first.
-        yield from (PatternClass(modulus, r) for r in range(modulus - 1, 0, -2))
-
-
 def _certify(
     b: int,
     c: int,
@@ -488,14 +479,17 @@ def _seeded_state() -> SearchState:
                        [seed_record()])
 
 
-def _sweep(config: SearchConfig, state: SearchState, last_modulus: int) -> Iterator[None]:
-    """Advance `state` modulus by modulus from its frontier to last_modulus,
-    yielding after each modulus.
+def _sweep(config: SearchConfig, state: SearchState,
+           after_batch: Callable[[SearchState], None]) -> SearchState:
+    """Advance `state` modulus by modulus from its frontier to
+    config.max_modulus, calling after_batch(state) after each modulus.
 
     Every checked class is certified by `_certify` before its modulus is
     registered, so against the registry frozen at the modulus boundary.
+    With config.k_verify, the modulus's new records are brute-forced before
+    after_batch sees them.
     """
-    for modulus in _moduli(last_modulus, config.filter_3smooth, state.frontier_modulus):
+    for modulus in _moduli(config.max_modulus, config.filter_3smooth, state.frontier_modulus):
         open_residues = state.ledger.open_residues(modulus)
         if config.skip_covered:
             # Ascending open residues x are descending remainders b - x; they
@@ -521,12 +515,17 @@ def _sweep(config: SearchConfig, state: SearchState, last_modulus: int) -> Itera
         state.records.extend(new_records)
         state.new_records = new_records
         state.checkpoints.append((modulus, state.ledger.density()))
-        yield
+        for record in new_records if config.k_verify else ():
+            report = oracle.verify_success_record(record, config.k_verify)
+            if not report.ok:
+                raise CertificateError(record, report)
+        after_batch(state)
+    return state
 
 
 def run_search(
     config: SearchConfig,
-    after_batch: Callable[[SearchState], None] | None = None,
+    after_batch: Callable[[SearchState], None] = lambda state: None,
     resume: SearchState | None = None,
 ) -> SearchState:
     """Drive the full sieve up to config.max_modulus; returns the run's state.
@@ -543,29 +542,18 @@ def run_search(
     started = time.perf_counter()
     if resume is None:
         state = _seeded_state()
-        if after_batch is not None:
-            after_batch(state)
+        after_batch(state)
     else:
         state = dataclasses.replace(
             resume, records=list(resume.records), checkpoints=list(resume.checkpoints)
         )
-    for _ in _sweep(config, state, config.max_modulus):
-        for record in state.new_records if config.k_verify else ():
-            report = oracle.verify_success_record(record, config.k_verify)
-            if not report.ok:
-                raise CertificateError(record, report)
-        if after_batch is not None:
-            after_batch(state)
+    _sweep(config, state, after_batch)
     state.elapsed_seconds = time.perf_counter() - started
     return state
 
 
-def rebuild_state(
-    config: SearchConfig,
-    frontier_modulus: int,
-    check: Callable[[SearchState], None] = lambda state: None,
-) -> SearchState:
-    """Replay a search up to frontier_modulus: the sweep of `run_search`,
+def rebuild_state(config: SearchConfig, check: Callable[[SearchState], None]) -> SearchState:
+    """Replay a search up to config.max_modulus: the sweep of `run_search`,
     without the `k_verify` brute force.
 
     Every record, the density trail, the counts and the registry are derived
@@ -576,9 +564,7 @@ def rebuild_state(
     """
     state = _seeded_state()
     check(state)
-    for _ in _sweep(config, state, frontier_modulus):
-        check(state)
-    return state
+    return _sweep(dataclasses.replace(config, k_verify=0), state, check)
 
 
 def unfiltered_registry(last_modulus: int) -> TrajectoryRegistry:

@@ -486,11 +486,19 @@ def test_unreadable_journals_are_rejected(tmp_path, capsys, damage, message):
         assert message in capsys.readouterr().err
 
 
-def _set_config(path, key, value):
+def _set_config(key, value):
+    """A header rewrite that sets one configuration value, in the journal's
+    own encoding."""
+    def rewrite(header):
+        doc = json.loads(header)
+        doc["config"][key] = value
+        return _compact(doc)
+    return rewrite
+
+
+def _rewrite_header(path, rewrite):
     header, rest = path.read_text().split("\n", 1)
-    doc = json.loads(header)
-    doc["config"][key] = value
-    path.write_text(json.dumps(doc) + "\n" + rest)
+    path.write_text(rewrite(header) + "\n" + rest)
 
 
 def test_replay_settles_the_first_member_of_drop_records(tmp_path, capsys, monkeypatch):
@@ -509,20 +517,41 @@ def test_replay_settles_the_first_member_of_drop_records(tmp_path, capsys, monke
         assert captured.out == ""
 
 
-@pytest.mark.parametrize("key, value", [
-    ("step_cap", 5), ("step_cap", 0), ("step_cap", -5),
-    ("numeric_step_cap", 1), ("numeric_step_cap", 0), ("numeric_step_cap", -5),
-], ids=["5", "0", "-5", "numeric-1", "numeric-0", "numeric--5"])
-def test_a_step_cap_in_the_header_is_malformed(tmp_path, capsys, key, value):
-    # Neither cap is a setting; a journal header names them null and 10^6.
+@pytest.mark.parametrize("rewrite", [
+    _set_config("step_cap", 5), _set_config("step_cap", 0), _set_config("step_cap", -5),
+    _set_config("numeric_step_cap", 1), _set_config("numeric_step_cap", 0),
+    _set_config("numeric_step_cap", -5),
+    lambda header: json.dumps(json.loads(header)),
+    lambda header: json.dumps(dict(reversed(json.loads(header).items())), separators=(",", ":")),
+    lambda header: header + "\r",
+    _set_config("k_verify", True), _set_config("skip_covered", 1), _set_config("k_verify", "0"),
+], ids=["5", "0", "-5", "numeric-1", "numeric-0", "numeric--5",
+        "spaces", "key-order", "crlf", "k_verify-true", "flag-1", "k_verify-string"])
+def test_a_step_cap_in_the_header_is_malformed(tmp_path, capsys, rewrite):
+    # Neither cap is a setting; a journal header names them null and 10^6.  A
+    # header is read only as the bytes the search writes, like every line.
     cp = tmp_path / "run.json"
     assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
-    _set_config(cp, key, value)
+    _rewrite_header(cp, rewrite)
     capsys.readouterr()
-    for command in (["report"], ["coverage"], ["search", "--max-modulus", 48, "--resume"]):
-        assert run_cli(*command, "--checkpoint", cp) == 2
+    for command in (["report"], ["coverage"], ["verify", 4, 3, "--k", 10],
+                    ["search", "--max-modulus", 48, "--resume"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2, command
         captured = capsys.readouterr()
         assert "malformed configuration header" in captured.err
+        assert captured.out == ""
+
+
+def test_a_setting_the_search_rejects_cannot_be_replayed(tmp_path, capsys):
+    cp = tmp_path / "run.json"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    _rewrite_header(cp, _set_config("k_verify", -1))
+    capsys.readouterr()
+    for command in (["report"], ["coverage"], ["verify", 4, 3, "--k", 10],
+                    ["search", "--max-modulus", 48, "--resume"]):
+        assert run_cli(*command, "--checkpoint", cp) == 2, command
+        captured = capsys.readouterr()
+        assert "cannot be replayed: k_verify must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
 
@@ -562,6 +591,13 @@ def test_verify_known_drop(capsys):
     assert run_cli("verify", 16, 13, "--k", 1000) == 0
     out = capsys.readouterr().out
     assert "drops below its anchor at element 7" in out
+
+
+def test_verify_the_seed(capsys):
+    # 2k halves to k: the seed is derived like any other class.
+    assert run_cli("verify", 2, 0, "--k", 10) == 0
+    assert capsys.readouterr().out == (
+        "verified: 2k-0 drops below its anchor at element 2, checked k=1..10\n")
 
 
 def test_verify_uncertifiable_class(capsys):

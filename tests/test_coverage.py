@@ -235,7 +235,7 @@ def test_diagram_classes_are_canonical():
         assert ledger.survivors() == (
             ResidueClass(6, 1), ResidueClass(12, 3), ResidueClass(18, 11),
             ResidueClass(18, 17))
-        assert len(ledger) == 6
+        assert len(ledger) == len(ledger.stored_classes()) == 6
         assert ledger.density() == Fraction(23, 36)
         assert ledger.lcm_of_moduli() == 36
 
@@ -279,3 +279,4 @@ def test_diagram_matches_the_refinement(classes, b, data):
         assert ledger.covers(probe) == oracle.covers(probe)
         assert sum((Fraction(1, m) for m, _ in ledger.survivors()), Fraction(0)) == (
             1 - oracle.density())
+        assert len(ledger) == len(ledger.stored_classes())

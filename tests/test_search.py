@@ -19,7 +19,6 @@ from collatz_sieve import (
     analyze_moduli,
     build_trajectory,
     check_class,
-    enumerate_classes,
     format_percent,
     from_pattern,
     is_3smooth_even,
@@ -51,20 +50,35 @@ def register_class(registry, b, c):
     registry.register(walk_modulus(b, [c]))
 
 
-def test_enumerate_classes_unfiltered():
-    got = list(enumerate_classes(6))
-    assert [tuple(c) for c in got] == [(4, 3), (4, 1), (6, 5), (6, 3), (6, 1)]
+def swept_classes(config):
+    """The classes the search checks, in the order in which it walks them."""
+    walked = []
+
+    def walk(modulus, remainders):
+        walked.extend((modulus, c) for c in remainders)
+        return walk_modulus(modulus, remainders)
+
+    with mock.patch.object(search, "walk_modulus", walk):
+        run_search(config)
+    return walked[1:]  # the seed's walk comes first
 
 
-def test_enumerate_classes_smallest():
-    assert [tuple(c) for c in enumerate_classes(4, True)] == [(4, 3), (4, 1)]
+def test_the_sweep_checks_remainders_descending():
+    got = swept_classes(SearchConfig(6))
+    assert got == [(4, 3), (4, 1), (6, 5), (6, 3), (6, 1)]
 
 
-def test_enumerate_classes_filtered_moduli():
-    moduli = sorted({c.modulus for c in enumerate_classes(32, True)})
+def test_the_smallest_filtered_sweep():
+    assert list(_moduli(4, True)) == [4]
+    assert swept_classes(SearchConfig(4, filter_3smooth=True)) == [(4, 3), (4, 1)]
+
+
+def test_filtered_moduli():
     # 18 = 2 * 3^2 belongs here; without it the known join of 18k-5 into
     # 16k-5 could never be found in filtered runs
-    assert moduli == [4, 6, 8, 12, 16, 18, 24, 32]
+    assert list(_moduli(32, True)) == [4, 6, 8, 12, 16, 18, 24, 32]
+    assert sorted({b for b, c in swept_classes(SearchConfig(32, filter_3smooth=True))}) == (
+        [4, 6, 8, 12, 16, 18, 24, 32])
 
 
 def test_is_3smooth_even():
@@ -324,7 +338,7 @@ def test_k_verify_failure_stops_before_the_modulus_is_published():
 
 def test_registry_completeness_after_run():
     registry = registry_through(48)
-    for cls in enumerate_classes(48):
+    for cls in (PatternClass(b, c) for b in _moduli(48, False) for c in range(b - 1, 0, -2)):
         for index, form in enumerate(pattern_trajectory(cls).elements, start=1):
             assert (cls, index) in registry.lookup(form)
 
@@ -335,10 +349,12 @@ def test_rebuild_state_replays_exactly():
     summary = run_search(config, after_batch=lambda b: trail.append(
         (b.frontier_modulus, b.registry.digest(), b.ledger.density())
     ))
-    state = rebuild_state(config, 96)
-    registry, ledger = state.registry, state.ledger
-    assert registry.digest() == trail[-1][1]
-    assert ledger.density() == summary.final_density
+    replayed = []
+    state = rebuild_state(config, lambda b: replayed.append(
+        (b.frontier_modulus, b.registry.digest(), b.ledger.density())
+    ))
+    assert replayed == trail
+    assert state.ledger.density() == summary.final_density
 
 
 def test_replay_builds_forms_only_for_join_records():
@@ -348,7 +364,7 @@ def test_replay_builds_forms_only_for_join_records():
     joins = sum(record.kind is CertKind.JOIN for record in records)
     with mock.patch.object(search, "pattern_trajectory",
                            wraps=search.pattern_trajectory) as built:
-        rebuild_state(config, 512)
+        rebuild_state(config, lambda state: None)
     assert built.call_count == joins == 2997
 
 
