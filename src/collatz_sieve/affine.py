@@ -93,9 +93,7 @@ def default_step_cap(coeff: int) -> int:
     return 2 * v2(coeff) + 8
 
 
-def build_trajectory(
-    anchor: AffineForm, step_cap: int | None = None
-) -> tuple[AffineForm, ...]:
+def build_trajectory(anchor: AffineForm) -> tuple[AffineForm, ...]:
     """Iterate the symbolic step until the coefficient turns odd.
 
     Returns (anchor, step(anchor), step(step(anchor)), ...) ending at the
@@ -107,8 +105,7 @@ def build_trajectory(
     a, d = anchor
     if a < 1 or a % 2:
         raise ValueError(f"anchor must have an even coefficient >= 2, got {anchor}")
-    if step_cap is None:
-        step_cap = default_step_cap(a)
+    step_cap = default_step_cap(a)
     elements = [anchor]
     while not a & 1:
         if len(elements) >= step_cap:

@@ -416,9 +416,9 @@ def cmd_verify(args) -> int:
         print(f"invalid class: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    rec = None
     if args.checkpoint:
         # the brute force below is the check, so no replay; every line is decoded
+        rec, source = None, f"in checkpoint {args.checkpoint}"
         for number, line in enumerate(load_checkpoint(args.checkpoint).lines, start=2):
             try:
                 records = [_record_from_row(row) for row in json.loads(line)["records"]]
@@ -426,11 +426,11 @@ def cmd_verify(args) -> int:
                 raise CheckpointError(f"line {number} of checkpoint {args.checkpoint} "
                                       f"is malformed: {exc}") from None
             rec = rec or next((r for r in records if r.pattern == cls), None)
-    if rec is None:
+    else:
         rec = check_class(cls, unfiltered_registry(cls.modulus - 2))
+        source = f"at modulus {cls.modulus}"
     if rec is None:
-        print(f"no certificate exists for {cls.modulus}k-{cls.remainder} "
-              f"at modulus {cls.modulus}")
+        print(f"no certificate exists for {cls.modulus}k-{cls.remainder} {source}")
         return EXIT_VERIFY
 
     report = oracle.verify_success_record(rec, args.k)
@@ -515,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
     p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--checkpoint", metavar="PATH")
+    p.add_argument("--checkpoint", metavar="PATH",
+                   help="take the certificate from this journal only, never derive it")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("coverage", help="ledger contents from a checkpoint")

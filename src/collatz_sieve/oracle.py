@@ -9,7 +9,9 @@ convention used by the pattern search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .affine import AffineForm, build_trajectory, evaluate
@@ -96,27 +98,22 @@ class StopRecord:
     divisions_by_2: int
 
 
-def modified_stopping_time(n: int, visited: Mapping[int, int]) -> StopRecord:
-    """Scan n's trajectory (from element 1: n itself may already be known)
-    for the first value present in `visited`.
-
-    `visited` maps every value occurring in the trajectories of 2..n-1 to
-    the smallest starting number whose trajectory contains it; build it
-    with visited_values_through() or incrementally via iter_modified_stops().
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+def _join(n: int, visited: dict[int, int], max_visited: float) -> StopRecord | None:
+    # Walk n's trajectory up to its first value in `visited`, adding each
+    # value before it with witness n.  Everything after a known value is
+    # known too, since the map is a function.  None: 1 came first, which
+    # only n = 2 does, on an empty map.
     step_cap = DEFAULT_STEP_CAP
-    v = n
-    i = 1
-    halvings = 0
-    while True:
-        if v in visited:
-            return StopRecord(n, i, v, visited[v], halvings)
-        if v == 1:
-            raise NoPriorSequenceError(
-                f"trajectory of {n} reached 1 without touching any previous trajectory"
+    v, i, halvings = n, 1, 0
+    while v not in visited:
+        if len(visited) >= max_visited:
+            raise VisitedLimitError(
+                f"visited-value set hit the {max_visited}-entry bound at n={n}; "
+                "raise max_visited to continue"
             )
+        visited[v] = n
+        if v == 1:
+            return None
         if i >= step_cap:
             raise StepCapExceededError(
                 f"trajectory of {n} exceeded {step_cap} steps without joining"
@@ -127,31 +124,25 @@ def modified_stopping_time(n: int, visited: Mapping[int, int]) -> StopRecord:
         else:
             v = 3 * v + 1
         i += 1
+    if visited[v] == n:  # a value this walk added came back: a cycle
+        raise StepCapExceededError(f"trajectory of {n} cycles through {v} without joining")
+    return StopRecord(n, i, v, visited[v], halvings)
 
 
-def _absorb_trajectory(n: int, visited: dict[int, int], max_visited: int) -> None:
-    # Add the values of n's trajectory that are not yet known.  Once a
-    # known value is reached, everything after it is known too (the map is
-    # a function, and known values were absorbed together with their
-    # successors), so the walk can stop there.
-    step_cap = DEFAULT_STEP_CAP
-    v = n
-    steps = 0
-    while v not in visited:
-        if len(visited) >= max_visited:
-            raise VisitedLimitError(
-                f"visited-value set hit the {max_visited}-entry bound at n={n}; "
-                "raise max_visited to continue"
-            )
-        visited[v] = n
-        if v == 1:
-            break
-        if steps >= step_cap:
-            raise StepCapExceededError(
-                f"trajectory of {n} exceeded {step_cap} steps while being recorded"
-            )
-        v = v // 2 if v % 2 == 0 else 3 * v + 1
-        steps += 1
+def modified_stopping_time(n: int, visited: Mapping[int, int]) -> StopRecord:
+    """Scan n's trajectory (from element 1: n itself may already be known)
+    for the first value present in `visited`, which is left unchanged.
+
+    `visited` maps every value occurring in the trajectories of 2..n-1 to
+    the smallest starting number whose trajectory contains it; build it
+    with visited_values_through().
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    rec = _join(n, dict(visited), math.inf)
+    if rec is None:
+        raise NoPriorSequenceError(f"trajectory of {n} reached 1 without joining")
+    return rec
 
 
 def iter_modified_stops(
@@ -164,12 +155,9 @@ def iter_modified_stops(
     """
     visited: dict[int, int] = {}
     for n in range(2, n_max + 1):
-        try:
-            yield modified_stopping_time(n, visited)
-        except NoPriorSequenceError:
-            if n != 2:
-                raise
-        _absorb_trajectory(n, visited, max_visited)
+        rec = _join(n, visited, max_visited)
+        if rec is not None:
+            yield rec
 
 
 def visited_values_through(
@@ -178,7 +166,7 @@ def visited_values_through(
     """Map of every value in the trajectories of 2..n_max to its smallest witness."""
     visited: dict[int, int] = {}
     for n in range(2, n_max + 1):
-        _absorb_trajectory(n, visited, max_visited)
+        _join(n, visited, max_visited)
     return visited
 
 
@@ -188,11 +176,7 @@ def longest_modified_stop(
     """Argmax of the modified stopping time over 2..range_max-1 (ties: smallest n)."""
     if range_max < 4:
         raise ValueError(f"range_max must be >= 4, got {range_max}")
-    best: StopRecord | None = None
-    for rec in iter_modified_stops(range_max - 1, max_visited):
-        if best is None or rec.stop_index > best.stop_index:
-            best = rec
-    assert best is not None
+    best = max(iter_modified_stops(range_max - 1, max_visited), key=attrgetter("stop_index"))
     return best.n, best
 
 

@@ -129,8 +129,7 @@ class ModulusWalk(NamedTuple):
     drops: list[int]
 
 
-def walk_modulus(modulus: int, remainders: Sequence[int],
-                 step_cap: int | None = None) -> ModulusWalk:
+def walk_modulus(modulus: int, remainders: Sequence[int]) -> ModulusWalk:
     """pattern_trajectory(PatternClass(modulus, c)) for each c, on ints.
 
     With b = 2^t*m, m odd, element i of (b, -c) is (b*3^o/2^j, (S - 3^o*c)/2^j)
@@ -142,11 +141,10 @@ def walk_modulus(modulus: int, remainders: Sequence[int],
     and N = 2*(b - a)*2^j - S (element 1, the only one with a = b, does not
     drop), so a class drops first where the prefix maximum of ceil(N/D)
     first exceeds c.  Raises build_trajectory's TrajectoryCapError at the
-    first class, in the given order, whose trajectory exceeds step_cap.
+    first class, in the given order, whose trajectory exceeds default_step_cap.
     """
     t = v2(modulus)
-    if step_cap is None:
-        step_cap = default_step_cap(modulus)
+    step_cap = default_step_cap(modulus)
     groups: dict[int, tuple] = {}  # r: length, a, 3^o and S at the end, drop thresholds
     lengths, terminals, drops = [], [], []
     for c in remainders:

@@ -610,6 +610,27 @@ def test_verify_uses_checkpoint_records(tmp_path, capsys):
     run_cli("search", "--max-modulus", 18, "--checkpoint", cp)
     capsys.readouterr()
     assert run_cli("verify", 18, 5, "--k", 100, "--checkpoint", cp) == 0
+    # 8k-3 drops at element 4 and, weaker but sound, at 5: the journal's row is
+    # what verify checks, not a record it derives.
+    def edit(lines):
+        records = next(line for line in lines if line["modulus"] == 8)["records"]
+        records[records.index([8, 3, 4, None, None, None])][2] = 5
+    _edit_journal(cp, edit)
+    capsys.readouterr()
+    assert run_cli("verify", 8, 3, "--k", 100, "--checkpoint", cp) == 0
+    assert capsys.readouterr().out == (
+        "verified: 8k-3 drops below its anchor at element 5, checked k=1..100\n")
+
+
+def test_verify_a_class_the_checkpoint_lacks(tmp_path, capsys):
+    # 20 is no 2^t*3^s, so the 3-smooth journal has no 20k-19; verify derives nothing.
+    cp = tmp_path / "run.json"
+    flags = ["--filter-3smooth", "on", "--skip-covered"]
+    assert run_cli("search", "--max-modulus", 64, *flags, "--checkpoint", cp) == 0
+    capsys.readouterr()
+    assert run_cli("verify", 20, 19, "--k", 100, "--checkpoint", cp) == 1
+    assert capsys.readouterr().out == (
+        f"no certificate exists for 20k-19 in checkpoint {cp}\n")
 
 
 def test_verify_rejects_invalid_class(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from collatz_sieve import (
@@ -14,7 +16,7 @@ from collatz_sieve import (
     verify_success_record,
     visited_values_through,
 )
-from collatz_sieve.oracle import NoPriorSequenceError, VisitedLimitError
+from collatz_sieve.oracle import NoPriorSequenceError, StepCapExceededError, VisitedLimitError
 
 
 def test_collatz_step():
@@ -98,9 +100,52 @@ def test_iter_modified_stops_yields_witnesses_in_own_trajectories():
         assert trajectory(rec.n).values[rec.stop_index - 1] == rec.join_value
 
 
+def test_the_scan_matches_the_query():
+    # The scan records n's values in the walk that finds its join; the query
+    # on the map of 2..n-1 must give the same record and leave the map as it was.
+    records = {rec.n: rec for rec in iter_modified_stops(400)}
+    assert sorted(records) == list(range(3, 401))
+    for n in range(3, 401):
+        visited = visited_values_through(n - 1)
+        kept = dict(visited)
+        assert modified_stopping_time(n, visited) == records[n], n
+        assert visited == kept, n
+
+
+def test_visited_values_are_the_first_witnesses():
+    expected = {}
+    for n in range(2, 301):
+        for v in trajectory(n).values:
+            expected.setdefault(v, n)
+    assert visited_values_through(300) == expected
+
+
+def test_the_scan_to_10_5_is_pinned():
+    # SHA-256 of every record's repr, one a line, as the scan that walked each
+    # trajectory twice (a query, then a walk recording it) gave them.
+    text = "\n".join(map(repr, iter_modified_stops(10**5)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5cb24a539fe60aba4bcff8bae781f97c4f2df82a5434419f398145e6e34cb915")
+
+
+def test_a_walk_that_meets_its_own_value_does_not_join():
+    # Only a cycle brings a walk back to a value it added; a map that names 5
+    # as the witness of 16, a later value of 5's trajectory, stands in for one.
+    with pytest.raises(StepCapExceededError, match="trajectory of 5 cycles through 16"):
+        modified_stopping_time(5, {16: 5})
+
+
 def test_visited_limit_guard():
     with pytest.raises(VisitedLimitError):
         visited_values_through(1000, max_visited=50)
+
+
+def test_the_scan_trips_the_guard_before_the_record():
+    seen = []
+    with pytest.raises(VisitedLimitError) as caught:
+        for rec in iter_modified_stops(1000, max_visited=50):
+            seen.append(rec.n)
+    assert f"at n={seen[-1] + 1};" in str(caught.value)
 
 
 def test_verify_drop_record():

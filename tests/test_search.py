@@ -30,7 +30,7 @@ from collatz_sieve import (
     verify_success_record,
 )
 from collatz_sieve.cli import _record_to_row
-from collatz_sieve import oracle, search
+from collatz_sieve import affine, oracle, search
 from collatz_sieve.affine import v2
 from collatz_sieve.search import DuplicateRegistrationError, _moduli, walk_modulus
 from refining_ledger import RefiningLedger
@@ -132,11 +132,10 @@ def modulus_batches(draw):
     return b, draw(st.permutations(sorted(remainders)))
 
 
-def first_cap_error(b, remainders, step_cap):
-    """The message of the first error a per-class build_trajectory loop raises."""
+def first_cap_error(walk):
+    """The message of the first error walk() raises, or None."""
     try:
-        for c in remainders:
-            build_trajectory(AffineForm(b, -c), step_cap)
+        walk()
     except TrajectoryCapError as exc:
         return str(exc)
     return None
@@ -157,13 +156,14 @@ def test_walk_matches_the_trajectory(batch):
                  if strictly_below(e, elements[0], 2)]
         assert drop == (drops[0] if drops else 0), c
     for step_cap in range(1, max(walk.lengths) + 2):
-        try:
-            walk_modulus(b, remainders, step_cap)
-            error = None
-        except TrajectoryCapError as exc:
-            error = str(exc)
+        # The cap is no argument: both walks read default_step_cap when called.
+        with mock.patch.object(search, "default_step_cap", lambda coeff: step_cap), \
+                mock.patch.object(affine, "default_step_cap", lambda coeff: step_cap):
+            error = first_cap_error(lambda: walk_modulus(b, remainders))
+            per_class = first_cap_error(
+                lambda: [build_trajectory(AffineForm(b, -c)) for c in remainders])
         # The same message names the same class: the first one over the cap.
-        assert error == first_cap_error(b, remainders, step_cap), step_cap
+        assert error == per_class, step_cap
         assert (error is not None) == (step_cap < max(walk.lengths)), step_cap
 
 
