@@ -380,16 +380,16 @@ def cmd_stoptimes(args) -> int:
     header = ["n", "stop element", "join value", "joined start",
               "divisions by 2", "min modulus hint"]
     rows = []
-    best: oracle.StopRecord | None = None
-    try:
-        for rec in oracle.iter_modified_stops(top, max_visited=args.max_visited):
-            if args.range is not None and rec.n < args.range:
-                if best is None or rec.stop_index > best.stop_index:
-                    best = rec
+    def tabulated(stops):  # one scan, one walk per n, feeds the rows and the longest
+        for rec in stops:
             if rec.n in wanted:
                 rows.append([str(rec.n), str(rec.stop_index), str(rec.join_value),
                              str(rec.joined_start), str(rec.divisions_by_2),
                              f"2^{rec.divisions_by_2}"])
+            yield rec
+    try:
+        stops = tabulated(oracle.iter_modified_stops(top, max_visited=args.max_visited))
+        best = oracle.longest_stop(rec for rec in stops if args.range and rec.n < args.range)
     except oracle.StepCapExceededError as exc:
         print(f"step cap breached: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -176,8 +176,13 @@ def longest_modified_stop(
     """Argmax of the modified stopping time over 2..range_max-1 (ties: smallest n)."""
     if range_max < 4:
         raise ValueError(f"range_max must be >= 4, got {range_max}")
-    best = max(iter_modified_stops(range_max - 1, max_visited), key=attrgetter("stop_index"))
+    best = longest_stop(iter_modified_stops(range_max - 1, max_visited))
     return best.n, best
+
+
+def longest_stop(records: Iterable[StopRecord]) -> StopRecord | None:
+    """The record with the largest stop_index, the first of equals; or None."""
+    return max(records, key=attrgetter("stop_index"), default=None)
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,17 @@ against the registry as frozen at the start of that modulus, which makes
 results independent of the order of the classes within the modulus.
 
 The registry stores no trajectory, only one bit per registered class and
-a Bloom filter over the last elements of their trajectories; a lookup
-walks the symbolic step backwards (see TrajectoryRegistry).  So a class
-needs only its trajectory's length, last element and first drop index.
-`walk_modulus` computes them for a whole modulus b = 2^t*m on ints, with
-one walk per residue mod 2^t: a*k + d with a even has the parity of d for
-every k, and while a stays even that parity is the same for all classes
-of one residue.  Forms are built only for a join scan.
+the last elements of their trajectories, one progression per residue group
+of a modulus registered whole; a lookup walks the symbolic step backwards
+(see TrajectoryRegistry).  So a class needs only its trajectory's length,
+last element and first drop index.  `walk_modulus` computes them for a
+whole modulus b = 2^t*m on ints, with one walk per residue mod 2^t: a*k + d
+with a even has the parity of d for every k, and while a stays even that
+parity is the same for all classes of one residue.  Forms are built only
+for a join scan.
 
-`_certify` alone decides what a class's certificate is, and `_sweep` calls
-it on every checked class.  The replay behind a resume or a report
+`_certify` alone decides the certificates, a modulus per pass, and `_sweep`
+calls it on every modulus.  The replay behind a resume or a report
 (`rebuild_state`) is that same sweep, so it derives every record itself;
 its caller compares the stored run against it.
 """
@@ -40,6 +41,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
@@ -118,15 +120,23 @@ def pattern_trajectory(cls: PatternClass) -> TrajectoryPattern:
     return TrajectoryPattern(cls, build_trajectory(cls.anchor_form()))
 
 
-class ModulusWalk(NamedTuple):
-    """Trajectory length, last element (a, d) and first drop index (0 if
-    none) of each class b*k - c of one modulus, in the remainders' order."""
+@dataclass
+class ModulusWalk:
+    """The first drop index (0 if none) of each class b*k - c of one modulus
+    b = 2^t*m, in the remainders' order, and per group r = c mod 2^t the
+    trajectory length and the last element (A, (S - P*c) >> t), A = m*P."""
 
     modulus: int
     remainders: Sequence[int]
-    lengths: list[int]
-    terminals: list[tuple[int, int]]
     drops: list[int]
+    groups: dict[int, tuple[int, int, int, int]]  # r: length, A, P, S
+
+    @cached_property
+    def terminals(self) -> list[tuple[int, int]]:
+        t = v2(self.modulus)
+        mask = (1 << t) - 1
+        return [(coeff, (total - power * c) >> t) for c in self.remainders
+                for _, coeff, power, total in (self.groups[c & mask],)]
 
 
 def walk_modulus(modulus: int, remainders: Sequence[int]) -> ModulusWalk:
@@ -145,8 +155,9 @@ def walk_modulus(modulus: int, remainders: Sequence[int]) -> ModulusWalk:
     """
     t = v2(modulus)
     step_cap = default_step_cap(modulus)
-    groups: dict[int, tuple] = {}  # r: length, a, 3^o and S at the end, drop thresholds
-    lengths, terminals, drops = [], [], []
+    groups: dict[int, tuple[int, int, int, int]] = {}
+    thresholds: dict[int, tuple[list[int], list[int]]] = {}  # r: drop bounds, indices
+    drops = []
     for c in remainders:
         r = c & ((1 << t) - 1)
         if r not in groups:
@@ -165,12 +176,11 @@ def walk_modulus(modulus: int, remainders: Sequence[int]) -> ModulusWalk:
                     indices.append(length)
             if length > step_cap:  # c is the first class, in order, of this group
                 raise TrajectoryCapError(AffineForm(modulus, -c), step_cap)
-            groups[r] = length, a, power, total, bounds, indices + [0]
-        length, coeff, power, total, bounds, indices = groups[r]
-        lengths.append(length)
-        terminals.append((coeff, (total - power * c) >> t))
+            groups[r] = length, a, power, total
+            thresholds[r] = bounds, indices + [0]
+        bounds, indices = thresholds[r]
         drops.append(indices[bisect_right(bounds, c)])
-    return ModulusWalk(modulus, remainders, lengths, terminals, drops)
+    return ModulusWalk(modulus, remainders, drops, groups)
 
 
 class DuplicateRegistrationError(ValueError):
@@ -239,11 +249,12 @@ class TrajectoryRegistry:
     the order in which the search registers classes.
 
     A trajectory ends at its first odd coefficient and the step is a
-    function, so trajectories that share an element share their last one:
-    a Bloom filter over the registered last elements tells, with no false
-    negative, when no element of a trajectory is registered (`may_meet`).
-    So `register` reads only lengths and last elements, a modulus at a time
-    as walk_modulus gives them, and `may_meet` only a last element.
+    function, so trajectories that share an element share their last one.
+    Registered whole, b = 2^t*m has per group r the ends (A, D - P*u) of
+    r + 2^t*u, u < m: a run of positions D//P - u in lane (A, P, D mod P).
+    Members are positive and S < 2^t*P/4, so the ends lie in (-A, P/4), a
+    run's top D//P is -1 or 0, and a lane is one bit per top: exact.  Moduli
+    registered in part go to a Bloom filter, probed for their coefficients.
     """
 
     def __init__(self) -> None:
@@ -251,7 +262,9 @@ class TrajectoryRegistry:
         self._classes = 0
         self._entries = 0
         self._top = 0  # largest modulus passed to register: a prune bound
-        self._terminals = _BloomFilter()
+        self._lanes: dict[int, dict[int, dict[int, int]]] = {}  # A: P: D mod P: bit top+1
+        self._partial: set[int] = set()  # the A of moduli registered in part
+        self._terminals = _BloomFilter()  # and their last elements
         self._digest = hashlib.sha256()
 
     def __len__(self) -> int:
@@ -289,28 +302,72 @@ class TrajectoryRegistry:
         found.sort(key=lambda hit: (hit[0].modulus, -hit[0].remainder))
         return tuple(found)
 
+    def _hits(self, coeff: int, power: int, top: int, size: int) -> Iterator[range]:
+        """Runs of the u < size whose (coeff, top - power*u) a lane holds."""
+        for lane_power, lane in self._lanes.get(coeff, {}).items():
+            m = coeff // lane_power
+            # u = u0 + step*i stays in one lane, at position q - stride*i.
+            step, stride = max(lane_power // power, 1), max(power // lane_power, 1)
+            for u0 in range(step):
+                offset = top - power * u0
+                tops = lane.get(offset % lane_power, 0)
+                if tops:  # the runs (top - m, top] held cover lo..hi
+                    q, lo, hi = offset // lane_power, 1 - m - (tops & 1), (tops >> 1) - 1
+                    first = max(-((hi - q) // stride), 0)
+                    last = min((q - lo) // stride, (size - 1 - u0) // step)
+                    yield range(u0 + step * first, u0 + step * last + 1, step)
+
     def may_meet(self, terminal: tuple[int, int]) -> bool:
         """False only if no element of a trajectory ending at terminal is
-        registered."""
-        return terminal in self._terminals
+        registered; exact for the terminals of moduli registered whole."""
+        coeff, offset = terminal
+        return (any(self._hits(coeff, coeff, offset, 1))
+                or coeff in self._partial and terminal in self._terminals)
+
+    def meeting(self, walk: ModulusWalk) -> set[int]:
+        """Holds, of walk's remainders, exactly those that may_meet (by group)."""
+        t = v2(walk.modulus)
+        found, probed = set(), set()  # probed: groups of a coefficient registered in part
+        for r, (_, coeff, power, total) in walk.groups.items():
+            if coeff in self._partial:
+                probed.add(r)
+            for run in self._hits(coeff, power, (total - power * r) >> t, coeff // power):
+                found.update(r + (u << t) for u in run)
+        if probed:
+            mask = (1 << t) - 1
+            found.update(c for c, terminal in zip(walk.remainders, walk.terminals)
+                         if c & mask in probed and terminal in self._terminals)
+        return found
 
     def register(self, walk: ModulusWalk) -> None:
         """Register the classes of one modulus, all or none of them."""
-        b, remainders = walk.modulus, walk.remainders
+        b, remainders, t = walk.modulus, walk.remainders, v2(walk.modulus)
         held = self._checked.get(b)
-        bits = bytearray((b + 15) // 16) if held is None else bytearray(held)
-        for c in remainders:
-            if c & 1 != (b > 2) or not 0 <= c < b or b % 2:
-                raise ValueError(f"only the seed and odd remainders register, got "
-                                 f"{PatternClass(b, c)}")
-            if bits[c >> 4] >> (c >> 1 & 7) & 1:
-                raise DuplicateRegistrationError(f"{PatternClass(b, c)} is already registered")
-            bits[c >> 4] |= 1 << (c >> 1 & 7)
+        every = range(b - 1, 0, -2) if b > 2 else range(1)  # the seed is all of modulus 2
+        if (held is None and not b % 2 and len(remainders) == len(every)
+                and list(remainders) == list(every)):
+            bits = bytearray(((1 << (b >> 1)) - 1).to_bytes((b + 15) // 16, "little"))
+            for r, (_, coeff, power, total) in walk.groups.items():
+                top = (total - power * r) >> t
+                lane = self._lanes.setdefault(coeff, {}).setdefault(power, {})
+                lane[top % power] = lane.get(top % power, 0) | 1 << (top // power + 1)
+            entries = (b >> t) * sum(length for length, *_ in walk.groups.values())
+        else:
+            bits = bytearray((b + 15) // 16) if held is None else bytearray(held)
+            for c in remainders:
+                if c & 1 != (b > 2) or not 0 <= c < b or b % 2:
+                    raise ValueError(f"only the seed and odd remainders register, got "
+                                     f"{PatternClass(b, c)}")
+                if bits[c >> 4] >> (c >> 1 & 7) & 1:
+                    raise DuplicateRegistrationError(f"{PatternClass(b, c)} is already registered")
+                bits[c >> 4] |= 1 << (c >> 1 & 7)
+            entries = sum(walk.groups[c & (1 << t) - 1][0] for c in remainders)
+            self._terminals.update(walk.terminals)
+            self._partial.update(group[1] for group in walk.groups.values())
         self._checked[b] = bits
         self._classes += len(remainders)
-        self._entries += sum(walk.lengths)
+        self._entries += entries
         self._top = max(self._top, b)
-        self._terminals.update(walk.terminals)
         # update(x); update(y) hashes as update(x + y): one call per modulus.
         self._digest.update("".join([f"{b},{c};" for c in remainders]).encode())
 
@@ -340,30 +397,33 @@ def _moduli(max_modulus: int, filter_3smooth: bool, start_after: int = 2) -> Ite
 
 
 def _certify(
-    b: int,
-    c: int,
-    drop_index: int,
-    terminal: tuple[int, int],
+    walk: ModulusWalk,
     registry: TrajectoryRegistry,
     join_targets_3smooth: bool,
-) -> SuccessRecord | None:
-    """The record the search writes for class b*k - c, or None.  drop_index
-    and terminal come from walk_modulus, and the registry is frozen at the
-    modulus.  A drop, which needs the k=1 member settled numerically (within
-    the oracle's default step cap), is self-contained and comes first.  Then
-    joins, in element order, into the first registered class (of a 3-smooth
-    modulus, with join_targets_3smooth) whose anchor is pointwise below from
-    k=2 and, at k=1, smaller, or equal with the k=1 member settled.
+) -> list[SuccessRecord]:
+    """The records the search writes for walk's classes, in order, against
+    the registry frozen at the modulus.  A drop, which needs the k=1 member
+    settled numerically (within the oracle's default step cap), comes first.
+    Then, if the registry may meet the last element, joins in element order
+    into the first registered class (of a 3-smooth modulus, with
+    join_targets_3smooth) whose anchor is pointwise below from k=2 and, at
+    k=1, smaller, or equal with the k=1 member settled.
     """
-    first_member = b - c  # the anchor at k=1
-    first_member_ok: bool | None = None  # the lazy numeric check of that member
-    if drop_index:
-        first_member_ok = oracle.drops_below_self_or_reaches_one(first_member)
+    b, meeting, records = walk.modulus, registry.meeting(walk), []
+    for c, drop_index in zip(walk.remainders, walk.drops):
+        # The numeric check of the k=1 member b - c: for a drop now, for a join lazily.
+        first_member_ok = oracle.drops_below_self_or_reaches_one(b - c) if drop_index else None
         if first_member_ok:
-            return SuccessRecord(PatternClass(b, c), CertKind.DROP, drop_index)
-    if not registry.may_meet(terminal):
-        return None
-    cls = PatternClass(b, c)
+            records.append(SuccessRecord(PatternClass(b, c), CertKind.DROP, drop_index))
+        elif c in meeting and (join := _first_join(PatternClass(b, c), first_member_ok,
+                                                   registry, join_targets_3smooth)):
+            records.append(join)
+    return records
+
+
+def _first_join(cls: PatternClass, first_member_ok: bool | None, registry: TrajectoryRegistry,
+                join_targets_3smooth: bool) -> SuccessRecord | None:
+    first_member = cls.modulus - cls.remainder  # the anchor at k=1
     anchor = cls.anchor_form()
     for index, element in enumerate(pattern_trajectory(cls).elements, start=1):
         for prior_cls, prior_index in registry.lookup(element):
@@ -383,16 +443,14 @@ def check_class(
     registry: TrajectoryRegistry,
     join_targets_3smooth: bool = False,
 ) -> SuccessRecord | None:
-    """Certify one class against the trajectories registered so far.
-
-    A drop, which the walk finds, comes first; joins are tried, in element
-    order, only without one.  Returns None if the class does not certify at
-    this modulus.  The registry must hold the trajectories of all classes
-    from earlier moduli plus the even-number seed.
+    """Certify one class against the trajectories registered so far, by the
+    search's rule (`_certify`); None if it does not certify at this modulus.
+    The registry must hold the trajectories of all classes from earlier
+    moduli plus the even-number seed.
     """
     validate_pattern_class(cls)
     walk = walk_modulus(cls.modulus, [cls.remainder])
-    return _certify(*cls, walk.drops[0], walk.terminals[0], registry, join_targets_3smooth)
+    return next(iter(_certify(walk, registry, join_targets_3smooth)), None)
 
 
 @dataclass(frozen=True)
@@ -498,18 +556,15 @@ def _sweep(config: SearchConfig, state: SearchState,
         state.examined += modulus // 2
         state.skipped += modulus // 2 - len(remainders)
         walk = walk_modulus(modulus, remainders)
-        found = [_certify(modulus, c, drop, terminal, state.registry, config.join_targets_3smooth)
-                 for c, drop, terminal in zip(remainders, walk.drops, walk.terminals)]
+        new_records = _certify(walk, state.registry, config.join_targets_3smooth)
         state.registry.register(walk)
-        new_records = [record for record in found if record is not None]
         # A class closed at the modulus boundary would gain nothing, and the
         # classes of one modulus are disjoint, so adding one leaves the others
         # open or closed as they were: only records of open classes are added.
         is_open = set(open_residues)
         for record in new_records:
-            covered = from_pattern(record.pattern)
-            if covered.residue in is_open:
-                state.ledger.add_class(covered)
+            if modulus - record.pattern.remainder in is_open:  # b*k - c is (b - c) mod b
+                state.ledger.add_class(from_pattern(record.pattern))
         state.records.extend(new_records)
         state.new_records = new_records
         state.checkpoints.append((modulus, state.ledger.density()))

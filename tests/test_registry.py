@@ -3,10 +3,11 @@
 `DictRegistry` stores each element of each registered trajectory with its
 class and element index, so its lookups are right by construction.  The
 search's `TrajectoryRegistry` stores no form at all, and the search hands it
-one modulus at a time as `walk_modulus` gives it (lengths and last
-elements) instead of trajectories; a search run with `CheckedRegistry` in
-its place feeds the dictionary each class's full trajectory, answers every
-lookup both ways and fails on the first difference.
+one modulus at a time as `walk_modulus` gives it (per residue group, the
+length and last element) instead of trajectories; a search run with
+`CheckedRegistry` in its place feeds the dictionary each class's full
+trajectory, answers every lookup both ways and fails on the first
+difference.
 """
 
 import hashlib
@@ -45,11 +46,11 @@ class CheckedRegistry(TrajectoryRegistry):
 
     def register(self, walk):
         trajectories = []
-        for c, length, terminal in zip(walk.remainders, walk.lengths, walk.terminals,
-                                       strict=True):
+        for c, terminal in zip(walk.remainders, walk.terminals, strict=True):
+            length = walk.groups[c % (walk.modulus & -walk.modulus)][0]
             traj = pattern_trajectory(PatternClass(walk.modulus, c))
             assert (length, terminal) == (len(traj.elements), traj.elements[-1]), traj
-            # The registry is still as the search's Bloom probes saw it.
+            # The registry is still as the search's gate saw it.
             assert self.may_meet(terminal) or not any(
                 self.oracle.lookup(f) for f in traj.elements), traj
             trajectories.append(traj)
@@ -111,7 +112,64 @@ def test_one_batch_per_modulus_registers_like_one_class_batches(half, filter_3sm
                 single.register(walk_modulus(modulus, [c]))
             assert (len(batched), batched.entry_count(), batched.digest()) == (
                 len(single), single.entry_count(), single.digest())
+    registered = set(terminals[len(extra_forms):])
     # The classes of the next moduli are not registered, so some probes miss.
     for modulus in range(2 * half + 2, 2 * half + 40, 2):
         terminals += walk_modulus(modulus, range(modulus - 1, 0, -2)).terminals
-    assert [batched.may_meet(t) for t in terminals] == [single.may_meet(t) for t in terminals]
+    # Whole moduli answer exactly; classes one at a time go through the Bloom
+    # filter, which may answer yes for a terminal nobody registered, never no
+    # for one that was.
+    assert [batched.may_meet(t) for t in terminals] == [t in registered for t in terminals]
+    assert all(single.may_meet(t) for t in registered)
+
+
+def test_whole_moduli_answer_exactly_next_to_every_registered_end():
+    # A lane holds runs of the positions D // P of last elements (A, D) with
+    # one D mod P, P a power of 3 dividing A: probe one and two steps of
+    # every such P beyond each registered end, where an off-by-one run end or
+    # a wrong lane would answer wrong.
+    registry, registered = TrajectoryRegistry(), set()
+    for modulus in [2, *_moduli(160, False)]:
+        walk = walk_modulus(modulus, [0] if modulus == 2 else range(modulus - 1, 0, -2))
+        registry.register(walk)
+        registered.update(walk.terminals)
+    probes = {(a, d + j * 3**i) for a, d in registered for i in range(a.bit_length())
+              if a % 3**i == 0 for j in (-2, -1, 1, 2)}
+    probes = sorted(probes)
+    assert [registry.may_meet(t) for t in probes] == [t in registered for t in probes]
+    assert all(registry.may_meet(t) for t in registered)
+
+
+def registered_in(mode, modulus, data):
+    """The remainder lists by which a modulus is registered: every odd one
+    at once, some of them, all of them in two parts, or none."""
+    every = list(range(modulus - 1, 0, -2))
+    if mode == "whole":
+        return [every]
+    if mode == "part":
+        return [data.draw(st.lists(st.sampled_from(every), unique=True))]
+    if mode == "two parts":
+        shuffled = data.draw(st.permutations(every))
+        cut = data.draw(st.integers(0, len(every)))
+        return [shuffled[:cut], shuffled[cut:]]
+    return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.data())
+def test_the_group_gate_answers_like_may_meet(half, data):
+    # The sweep asks `meeting` for a modulus's classes a residue group at a
+    # time; each class must get may_meet's answer for its last element.
+    modes = st.sampled_from(["whole", "part", "two parts", "none"])
+    registry = TrajectoryRegistry()
+    registry.register(walk_modulus(2, [0]))
+    for modulus in range(4, 2 * half + 1, 2):
+        for remainders in registered_in(data.draw(modes), modulus, data):
+            registry.register(walk_modulus(modulus, remainders))
+    for modulus in range(4, 2 * half + 60, 2):
+        every = range(modulus - 1, 0, -2)
+        some = data.draw(st.lists(st.sampled_from(every), unique=True))
+        for walk in (walk_modulus(modulus, every), walk_modulus(modulus, some)):
+            gate = registry.meeting(walk)
+            assert [c in gate for c in walk.remainders] == [
+                registry.may_meet(t) for t in walk.terminals], walk.modulus

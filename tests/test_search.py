@@ -148,14 +148,16 @@ def test_walk_matches_the_trajectory(batch):
     b, remainders = batch
     walk = walk_modulus(b, remainders)
     assert (walk.modulus, list(walk.remainders)) == (b, remainders)
-    for c, length, terminal, drop in zip(remainders, walk.lengths, walk.terminals,
-                                         walk.drops, strict=True):
+    lengths = [walk.groups[c % (b & -b)][0] for c in remainders]  # by residue mod 2^t
+    longest = max(lengths)
+    for c, length, terminal, drop in zip(remainders, lengths, walk.terminals, walk.drops,
+                                         strict=True):
         elements = build_trajectory(AffineForm(b, -c))
         assert (length, terminal) == (len(elements), elements[-1]), c
         drops = [i for i, e in enumerate(elements, start=1)
                  if strictly_below(e, elements[0], 2)]
         assert drop == (drops[0] if drops else 0), c
-    for step_cap in range(1, max(walk.lengths) + 2):
+    for step_cap in range(1, longest + 2):
         # The cap is no argument: both walks read default_step_cap when called.
         with mock.patch.object(search, "default_step_cap", lambda coeff: step_cap), \
                 mock.patch.object(affine, "default_step_cap", lambda coeff: step_cap):
@@ -164,7 +166,7 @@ def test_walk_matches_the_trajectory(batch):
                 lambda: [build_trajectory(AffineForm(b, -c)) for c in remainders])
         # The same message names the same class: the first one over the cap.
         assert error == per_class, step_cap
-        assert (error is not None) == (step_cap < max(walk.lengths)), step_cap
+        assert (error is not None) == (step_cap < longest), step_cap
 
 
 def test_registry_examples():
@@ -358,14 +360,19 @@ def test_rebuild_state_replays_exactly():
 
 
 def test_replay_builds_forms_only_for_join_records():
-    # Drops are settled from the walk; only a join needs its trajectory's forms.
+    # Drops are settled from the walk; only a join needs its trajectory's
+    # forms.  The moduli are registered whole, so the gate before a join scan
+    # is exact, and here every class whose last element a registered
+    # trajectory shares joins: the search and its replay build the forms of
+    # the join records and nothing else (the trace's affine.trajectory_calls).
     config = SearchConfig(max_modulus=512)
-    records = run_search(config).records
-    joins = sum(record.kind is CertKind.JOIN for record in records)
     with mock.patch.object(search, "pattern_trajectory",
                            wraps=search.pattern_trajectory) as built:
+        records = run_search(config).records
         rebuild_state(config, lambda state: None)
-    assert built.call_count == joins == 2997
+    joins = [(record.pattern,) for record in records if record.kind is CertKind.JOIN]
+    assert len(joins) == 2997
+    assert [call.args for call in built.call_args_list] == joins + joins
 
 
 def test_records_verify_to_1000():
