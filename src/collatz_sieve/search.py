@@ -17,8 +17,9 @@ results independent of the order of the classes within the modulus.
 
 The registry stores no trajectory, only one bit per registered class and
 the last elements of their trajectories, one progression per residue group
-of a modulus registered whole; a lookup walks the symbolic step backwards
-(see TrajectoryRegistry).  So a class needs only its trajectory's length,
+that holds a registered class, the whole group's even where only part of it
+is registered; a lookup walks the symbolic step backwards (see
+TrajectoryRegistry).  So a class needs only its trajectory's length,
 last element and first drop index.  `walk_modulus` computes them for a
 whole modulus b = 2^t*m on ints, with one walk per residue mod 2^t: a*k + d
 with a even has the parity of d for every k, and while a stays even that
@@ -41,7 +42,6 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
@@ -131,13 +131,6 @@ class ModulusWalk:
     drops: list[int]
     groups: dict[int, tuple[int, int, int, int]]  # r: length, A, P, S
 
-    @cached_property
-    def terminals(self) -> list[tuple[int, int]]:
-        t = v2(self.modulus)
-        mask = (1 << t) - 1
-        return [(coeff, (total - power * c) >> t) for c in self.remainders
-                for _, coeff, power, total in (self.groups[c & mask],)]
-
 
 def walk_modulus(modulus: int, remainders: Sequence[int]) -> ModulusWalk:
     """pattern_trajectory(PatternClass(modulus, c)) for each c, on ints.
@@ -187,50 +180,6 @@ class DuplicateRegistrationError(ValueError):
     """The same class was registered twice."""
 
 
-class _BloomFilter:
-    """Membership with false positives but no false negatives (Bloom, CACM
-    1970), grown as a scalable Bloom filter (Almeida et al., IPL 2007): a full
-    sub-filter is followed by one of twice its capacity.  Three probes by
-    double hashing at 16 bits per item give about 0.5% false positives; an
-    unsalted hash (a tuple of ints) makes the answers repeat across runs.
-    """
-
-    _BITS_PER_ITEM = 16
-    _FIRST_CAPACITY = 1 << 16
-
-    def __init__(self) -> None:
-        self._filters: list[tuple[bytearray, int]] = []  # (bits, bit mask)
-        self._room = 0  # items the newest sub-filter still takes
-
-    def update(self, items: Sequence[object]) -> None:
-        while items:
-            if not self._room:
-                capacity = self._FIRST_CAPACITY << len(self._filters)
-                size = capacity * self._BITS_PER_ITEM
-                self._filters.append((bytearray(size // 8), size - 1))
-                self._room = capacity
-            bits, mask = self._filters[-1]
-            chunk, items = items[:self._room], items[self._room:]
-            self._room -= len(chunk)
-            for item in chunk:  # the probes of __contains__, unrolled
-                h = hash(item)
-                step = (h >> 32) | 1
-                p, q, r = h & mask, (h + step) & mask, (h + 2 * step) & mask
-                bits[p >> 3] |= 1 << (p & 7)
-                bits[q >> 3] |= 1 << (q & 7)
-                bits[r >> 3] |= 1 << (r & 7)
-
-    def __contains__(self, item: object) -> bool:
-        h = hash(item)
-        step = (h >> 32) | 1
-        for bits, mask in self._filters:
-            p, q, r = h & mask, (h + step) & mask, (h + 2 * step) & mask
-            if (bits[p >> 3] >> (p & 7) & 1 and bits[q >> 3] >> (q & 7) & 1
-                    and bits[r >> 3] >> (r & 7) & 1):
-                return True
-        return False
-
-
 class TrajectoryRegistry:
     """The registered classes, and which of their trajectories meet a form.
 
@@ -250,11 +199,13 @@ class TrajectoryRegistry:
 
     A trajectory ends at its first odd coefficient and the step is a
     function, so trajectories that share an element share their last one.
-    Registered whole, b = 2^t*m has per group r the ends (A, D - P*u) of
+    The modulus b = 2^t*m has per group r the ends (A, D - P*u) of
     r + 2^t*u, u < m: a run of positions D//P - u in lane (A, P, D mod P).
     Members are positive and S < 2^t*P/4, so the ends lie in (-A, P/4), a
-    run's top D//P is -1 or 0, and a lane is one bit per top: exact.  Moduli
-    registered in part go to a Bloom filter, probed for their coefficients.
+    run's top D//P is -1 or 0, and a lane is one bit per top.  A group
+    enters its whole run when any of its classes is registered: exact for
+    moduli registered whole, and no false negative for a group registered in
+    part, whose classes `lookup` still tells apart.
     """
 
     def __init__(self) -> None:
@@ -263,8 +214,6 @@ class TrajectoryRegistry:
         self._entries = 0
         self._top = 0  # largest modulus passed to register: a prune bound
         self._lanes: dict[int, dict[int, dict[int, int]]] = {}  # A: P: D mod P: bit top+1
-        self._partial: set[int] = set()  # the A of moduli registered in part
-        self._terminals = _BloomFilter()  # and their last elements
         self._digest = hashlib.sha256()
 
     def __len__(self) -> int:
@@ -318,25 +267,20 @@ class TrajectoryRegistry:
                     yield range(u0 + step * first, u0 + step * last + 1, step)
 
     def may_meet(self, terminal: tuple[int, int]) -> bool:
-        """False only if no element of a trajectory ending at terminal is
-        registered; exact for the terminals of moduli registered whole."""
+        """True iff terminal ends the trajectory of a class in a residue group
+        that holds a registered class: exact for moduli registered whole, and
+        a group registered in part answers as its whole run.  So it is False
+        only if no element of a trajectory ending at terminal is registered."""
         coeff, offset = terminal
-        return (any(self._hits(coeff, coeff, offset, 1))
-                or coeff in self._partial and terminal in self._terminals)
+        return any(self._hits(coeff, coeff, offset, 1))
 
     def meeting(self, walk: ModulusWalk) -> set[int]:
         """Holds, of walk's remainders, exactly those that may_meet (by group)."""
         t = v2(walk.modulus)
-        found, probed = set(), set()  # probed: groups of a coefficient registered in part
+        found = set()
         for r, (_, coeff, power, total) in walk.groups.items():
-            if coeff in self._partial:
-                probed.add(r)
             for run in self._hits(coeff, power, (total - power * r) >> t, coeff // power):
                 found.update(r + (u << t) for u in run)
-        if probed:
-            mask = (1 << t) - 1
-            found.update(c for c, terminal in zip(walk.remainders, walk.terminals)
-                         if c & mask in probed and terminal in self._terminals)
         return found
 
     def register(self, walk: ModulusWalk) -> None:
@@ -347,10 +291,6 @@ class TrajectoryRegistry:
         if (held is None and not b % 2 and len(remainders) == len(every)
                 and list(remainders) == list(every)):
             bits = bytearray(((1 << (b >> 1)) - 1).to_bytes((b + 15) // 16, "little"))
-            for r, (_, coeff, power, total) in walk.groups.items():
-                top = (total - power * r) >> t
-                lane = self._lanes.setdefault(coeff, {}).setdefault(power, {})
-                lane[top % power] = lane.get(top % power, 0) | 1 << (top // power + 1)
             entries = (b >> t) * sum(length for length, *_ in walk.groups.values())
         else:
             bits = bytearray((b + 15) // 16) if held is None else bytearray(held)
@@ -362,8 +302,10 @@ class TrajectoryRegistry:
                     raise DuplicateRegistrationError(f"{PatternClass(b, c)} is already registered")
                 bits[c >> 4] |= 1 << (c >> 1 & 7)
             entries = sum(walk.groups[c & (1 << t) - 1][0] for c in remainders)
-            self._terminals.update(walk.terminals)
-            self._partial.update(group[1] for group in walk.groups.values())
+        for r, (_, coeff, power, total) in walk.groups.items():
+            top = (total - power * r) >> t
+            lane = self._lanes.setdefault(coeff, {}).setdefault(power, {})
+            lane[top % power] = lane.get(top % power, 0) | 1 << (top // power + 1)
         self._checked[b] = bits
         self._classes += len(remainders)
         self._entries += entries

@@ -16,8 +16,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatz_sieve import AffineForm, PatternClass, SearchConfig, pattern_trajectory, run_search
-from collatz_sieve import search
+from collatz_sieve import AffineForm, PatternClass, SearchConfig, build_trajectory
+from collatz_sieve import pattern_trajectory, run_search, search
+from collatz_sieve.affine import v2
 from collatz_sieve.search import TrajectoryRegistry, _moduli, walk_modulus
 
 
@@ -45,11 +46,13 @@ class CheckedRegistry(TrajectoryRegistry):
         CheckedRegistry.made.append(self)
 
     def register(self, walk):
-        trajectories = []
-        for c, terminal in zip(walk.remainders, walk.terminals, strict=True):
-            length = walk.groups[c % (walk.modulus & -walk.modulus)][0]
+        trajectories, t = [], v2(walk.modulus)
+        for c in walk.remainders:
+            length, coeff, power, total = walk.groups[c % (1 << t)]
             traj = pattern_trajectory(PatternClass(walk.modulus, c))
-            assert (length, terminal) == (len(traj.elements), traj.elements[-1]), traj
+            terminal = traj.elements[-1]
+            assert (length, (coeff, (total - power * c) >> t)) == (
+                len(traj.elements), terminal), traj
             # The registry is still as the search's gate saw it.
             assert self.may_meet(terminal) or not any(
                 self.oracle.lookup(f) for f in traj.elements), traj
@@ -62,6 +65,10 @@ class CheckedRegistry(TrajectoryRegistry):
         got = super().lookup(form)
         assert got == self.oracle.lookup(form), form
         return got
+
+
+def last_elements(modulus, remainders):
+    return [build_trajectory(AffineForm(modulus, -c))[-1] for c in remainders]
 
 
 forms = st.builds(AffineForm, st.integers(1, 600), st.integers(-700, 300))
@@ -93,6 +100,8 @@ def test_registry_takes_only_the_seed_and_odd_remainders():
     for b, remainders in ((2, [1]), (4, [2]), (6, [0]), (6, [5, 3, 0, 1])):
         with pytest.raises(ValueError):
             registry.register(walk_modulus(b, remainders))
+        # A rejected walk leaves no lane behind.
+        assert not any(registry.may_meet(t) for t in last_elements(b, remainders)), b
     assert len(registry) == 0
 
 
@@ -102,23 +111,21 @@ def test_one_batch_per_modulus_registers_like_one_class_batches(half, filter_3sm
                                                                 extra_forms):
     batched, single = TrajectoryRegistry(), TrajectoryRegistry()
     terminals = list(extra_forms)
-    # Small Bloom sub-filters, so that batches straddle their growth.
-    with mock.patch.object(search._BloomFilter, "_FIRST_CAPACITY", 16):
-        for modulus in [2, *_moduli(2 * half, filter_3smooth)]:
-            walk = walk_modulus(modulus, [0] if modulus == 2 else range(modulus - 1, 0, -2))
-            terminals += walk.terminals
-            batched.register(walk)
-            for c in walk.remainders:
-                single.register(walk_modulus(modulus, [c]))
-            assert (len(batched), batched.entry_count(), batched.digest()) == (
-                len(single), single.entry_count(), single.digest())
+    for modulus in [2, *_moduli(2 * half, filter_3smooth)]:
+        walk = walk_modulus(modulus, [0] if modulus == 2 else range(modulus - 1, 0, -2))
+        terminals += last_elements(modulus, walk.remainders)
+        batched.register(walk)
+        for c in walk.remainders:
+            single.register(walk_modulus(modulus, [c]))
+        assert (len(batched), batched.entry_count(), batched.digest()) == (
+            len(single), single.entry_count(), single.digest())
     registered = set(terminals[len(extra_forms):])
     # The classes of the next moduli are not registered, so some probes miss.
     for modulus in range(2 * half + 2, 2 * half + 40, 2):
-        terminals += walk_modulus(modulus, range(modulus - 1, 0, -2)).terminals
-    # Whole moduli answer exactly; classes one at a time go through the Bloom
-    # filter, which may answer yes for a terminal nobody registered, never no
-    # for one that was.
+        terminals += last_elements(modulus, range(modulus - 1, 0, -2))
+    # Whole moduli answer exactly.  A class registered alone enters the whole
+    # run of its residue group, which can add a yes, never a no for the end
+    # of a registered class.
     assert [batched.may_meet(t) for t in terminals] == [t in registered for t in terminals]
     assert all(single.may_meet(t) for t in registered)
 
@@ -132,7 +139,7 @@ def test_whole_moduli_answer_exactly_next_to_every_registered_end():
     for modulus in [2, *_moduli(160, False)]:
         walk = walk_modulus(modulus, [0] if modulus == 2 else range(modulus - 1, 0, -2))
         registry.register(walk)
-        registered.update(walk.terminals)
+        registered.update(last_elements(modulus, walk.remainders))
     probes = {(a, d + j * 3**i) for a, d in registered for i in range(a.bit_length())
               if a % 3**i == 0 for j in (-2, -1, 1, 2)}
     probes = sorted(probes)
@@ -172,4 +179,27 @@ def test_the_group_gate_answers_like_may_meet(half, data):
         for walk in (walk_modulus(modulus, every), walk_modulus(modulus, some)):
             gate = registry.meeting(walk)
             assert [c in gate for c in walk.remainders] == [
-                registry.may_meet(t) for t in walk.terminals], walk.modulus
+                registry.may_meet(t) for t in last_elements(modulus, walk.remainders)
+            ], walk.modulus
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.data())
+def test_a_group_registered_in_part_gates_as_its_whole_run(half, data):
+    # may_meet holds the last element of every class of a residue group mod
+    # 2^t that has a registered class, and nothing else: not the other ends
+    # of the next moduli, nor one or two lane steps beside any end.
+    modes = st.sampled_from(["whole", "part", "two parts", "none"])
+    registry, gated = TrajectoryRegistry(), set(last_elements(2, [0]))
+    registry.register(walk_modulus(2, [0]))
+    for modulus in range(4, 2 * half + 1, 2):
+        every, low = range(modulus - 1, 0, -2), modulus & -modulus
+        for remainders in registered_in(data.draw(modes), modulus, data):
+            registry.register(walk_modulus(modulus, remainders))
+            groups = {c % low for c in remainders}
+            gated.update(last_elements(modulus, [c for c in every if c % low in groups]))
+    ends = {t for modulus in range(2, 2 * half + 40, 2)
+            for t in last_elements(modulus, [0] if modulus == 2 else range(modulus - 1, 0, -2))}
+    probes = sorted({(a, d + j * 3**i) for a, d in ends for i in range(a.bit_length())
+                     if a % 3**i == 0 for j in (-2, -1, 0, 1, 2)})
+    assert [registry.may_meet(t) for t in probes] == [t in gated for t in probes]

@@ -148,12 +148,13 @@ def test_walk_matches_the_trajectory(batch):
     b, remainders = batch
     walk = walk_modulus(b, remainders)
     assert (walk.modulus, list(walk.remainders)) == (b, remainders)
-    lengths = [walk.groups[c % (b & -b)][0] for c in remainders]  # by residue mod 2^t
-    longest = max(lengths)
-    for c, length, terminal, drop in zip(remainders, lengths, walk.terminals, walk.drops,
-                                         strict=True):
+    t = v2(b)
+    groups = [walk.groups[c % (1 << t)] for c in remainders]  # by residue mod 2^t
+    longest = max(length for length, *_ in groups)
+    for c, (length, coeff, power, total), drop in zip(remainders, groups, walk.drops,
+                                                     strict=True):
         elements = build_trajectory(AffineForm(b, -c))
-        assert (length, terminal) == (len(elements), elements[-1]), c
+        assert (length, (coeff, (total - power * c) >> t)) == (len(elements), elements[-1]), c
         drops = [i for i, e in enumerate(elements, start=1)
                  if strictly_below(e, elements[0], 2)]
         assert drop == (drops[0] if drops else 0), c
@@ -361,18 +362,22 @@ def test_rebuild_state_replays_exactly():
 
 def test_replay_builds_forms_only_for_join_records():
     # Drops are settled from the walk; only a join needs its trajectory's
-    # forms.  The moduli are registered whole, so the gate before a join scan
-    # is exact, and here every class whose last element a registered
-    # trajectory shares joins: the search and its replay build the forms of
+    # forms.  The gate before a join scan passes a class whose last element
+    # ends a class of a residue group holding a registered class: exactly the
+    # registered ends for moduli registered whole, the group's whole run for
+    # one registered in part.  In these runs, skip-covered ones too, every
+    # class it passes joins, so the search and its replay build the forms of
     # the join records and nothing else (the trace's affine.trajectory_calls).
-    config = SearchConfig(max_modulus=512)
-    with mock.patch.object(search, "pattern_trajectory",
-                           wraps=search.pattern_trajectory) as built:
-        records = run_search(config).records
-        rebuild_state(config, lambda state: None)
-    joins = [(record.pattern,) for record in records if record.kind is CertKind.JOIN]
-    assert len(joins) == 2997
-    assert [call.args for call in built.call_args_list] == joins + joins
+    for config, count in ((SearchConfig(512), 2997),
+                          (SearchConfig(1500, skip_covered=True), 19),
+                          (SearchConfig(32768, filter_3smooth=True, skip_covered=True), 139)):
+        with mock.patch.object(search, "pattern_trajectory",
+                               wraps=search.pattern_trajectory) as built:
+            records = run_search(config).records
+            rebuild_state(config, lambda state: None)
+        joins = [(record.pattern,) for record in records if record.kind is CertKind.JOIN]
+        assert len(joins) == count, config
+        assert [call.args for call in built.call_args_list] == joins + joins, config
 
 
 def test_records_verify_to_1000():
