@@ -257,7 +257,10 @@ class TrajectoryRegistry:
             m = coeff // lane_power
             # u = u0 + step*i stays in one lane, at position q - stride*i.
             step, stride = max(lane_power // power, 1), max(power // lane_power, 1)
-            for u0 in range(step):
+            # Fewer keys than starts: lane_power = power*step, so each key has one u0.
+            starts = range(step) if step <= len(lane) else [
+                (top - key) // power % step for key in lane if (top - key) % power == 0]
+            for u0 in starts:
                 offset = top - power * u0
                 tops = lane.get(offset % lane_power, 0)
                 if tops:  # the runs (top - m, top] held cover lo..hi
@@ -332,9 +335,12 @@ def is_3smooth_even(m: int) -> bool:
 
 def _moduli(max_modulus: int, filter_3smooth: bool, start_after: int = 2) -> Iterator[int]:
     """Candidate moduli in canonical order: ascending from 4, only those
-    above start_after."""
-    for modulus in range(4, max_modulus + 1, 2):
-        if modulus > start_after and (not filter_3smooth or is_3smooth_even(modulus)):
+    above start_after; with filter_3smooth the 2^t*3^s, generated."""
+    exponents = range(max_modulus.bit_length())
+    candidates = (sorted((2 << t) * 3**s for t in exponents for s in exponents) if filter_3smooth
+                  else range(4, max_modulus + 1, 2))
+    for modulus in candidates:
+        if max(start_after, 3) < modulus <= max_modulus:
             yield modulus
 
 
@@ -501,12 +507,11 @@ def _sweep(config: SearchConfig, state: SearchState,
         new_records = _certify(walk, state.registry, config.join_targets_3smooth)
         state.registry.register(walk)
         # A class closed at the modulus boundary would gain nothing, and the
-        # classes of one modulus are disjoint, so adding one leaves the others
-        # open or closed as they were: only records of open classes are added.
+        # classes of one modulus are disjoint, so only records of open classes
+        # (b*k - c is b - c mod b) are added: without skip_covered most are closed.
         is_open = set(open_residues)
-        for record in new_records:
-            if modulus - record.pattern.remainder in is_open:  # b*k - c is (b - c) mod b
-                state.ledger.add_class(from_pattern(record.pattern))
+        state.ledger.add_classes(from_pattern(record.pattern) for record in new_records
+                                 if modulus - record.pattern.remainder in is_open)
         state.records.extend(new_records)
         state.new_records = new_records
         state.checkpoints.append((modulus, state.ledger.density()))

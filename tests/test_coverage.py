@@ -192,6 +192,41 @@ def test_covers_agrees_with_zero_gain(classes):
     assert covered == (gain == 0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(scenarios(), st.lists(st.sampled_from(SMOOTH_MODULI), min_size=1, max_size=4),
+       st.data())
+def test_add_classes_matches_one_class_at_a_time(classes, moduli, data):
+    batched, single = CoverageLedger(), CoverageLedger()
+    for r in classes:
+        batched.add_class(r)
+        single.add_class(r)
+    probes = data.draw(st.lists(st.sampled_from(SMOOTH_MODULI), min_size=1, max_size=3))
+    for m in moduli:
+        # One modulus per batch: empty, with duplicates, with covered classes.
+        covered = [rho for rho in range(m) if single.covers(ResidueClass(m, rho))]
+        residues = data.draw(st.lists(st.integers(0, m - 1), max_size=6))
+        residues += data.draw(st.lists(st.sampled_from(residues + covered), max_size=4)
+                              if residues + covered else st.just([]))
+        batch = [ResidueClass(m, rho) for rho in residues]
+        gain = batched.add_classes(iter(batch))
+        assert gain == sum(map(single.add_class, batch)) and type(gain) is Fraction
+        assert batched.density() == single.density()
+        assert batched.lcm_of_moduli() == single.lcm_of_moduli()
+        assert len(batched) == len(single)
+        assert batched.stored_classes() == single.stored_classes()
+        assert [batched.open_residues(b) for b in probes] == [
+            single.open_residues(b) for b in probes]
+    # A batch of two moduli is refused whole.
+    before = (batched.density(), batched.lcm_of_moduli(), batched.stored_classes(),
+              [batched.open_residues(b) for b in probes])
+    m, other = data.draw(st.lists(st.sampled_from(SMOOTH_MODULI), min_size=2, max_size=2,
+                                  unique=True))
+    with pytest.raises(ValueError):
+        batched.add_classes([ResidueClass(m, 1 % m), ResidueClass(other, 1 % other)])
+    assert before == (batched.density(), batched.lcm_of_moduli(), batched.stored_classes(),
+                      [batched.open_residues(b) for b in probes])
+
+
 def test_survivors_examples():
     ledger = CoverageLedger()
     assert ledger.survivors() == (ResidueClass(1, 0),)

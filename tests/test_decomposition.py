@@ -1,9 +1,10 @@
 """The coverage ledger held to the survivor refinement inside real searches.
 
 `CheckedLedger` runs the refinement (`RefiningLedger`, the ledger's former
-implementation) beside the decision diagram and asserts after every class
-and every modulus that the two give the same gain, density, lcm and open
-residues.  A search and its replay run with it in place of the ledger.
+implementation) beside the decision diagram and asserts after every batch
+of classes (the search adds a modulus's records at once) and every modulus
+that the two give the same gain, density, lcm and open residues.  A search
+and its replay run with it in place of the ledger.
 """
 
 from unittest import mock
@@ -28,11 +29,13 @@ class CheckedLedger(CoverageLedger):
         self.oracle = RefiningLedger()
         CheckedLedger.made.append(self)
 
-    def add_class(self, r):
-        gain = super().add_class(r)
-        assert gain == self.oracle.add_class(r), r
-        assert self.density() == self.oracle.density(), r
-        assert self.lcm_of_moduli() == self.oracle.lcm_of_moduli(), r
+    def add_classes(self, classes):
+        # add_class is add_classes([r]): one hook sees every class.
+        batch = list(classes)
+        gain = super().add_classes(batch)
+        assert gain == sum(map(self.oracle.add_class, batch)), batch
+        assert self.density() == self.oracle.density(), batch
+        assert self.lcm_of_moduli() == self.oracle.lcm_of_moduli(), batch
         return gain
 
     def open_residues(self, modulus):

@@ -147,6 +147,31 @@ def test_whole_moduli_answer_exactly_next_to_every_registered_end():
     assert all(registry.may_meet(t) for t in registered)
 
 
+def test_the_lane_scan_takes_both_branches():
+    # `_hits` scans the u0 < step of a lane whose step = lane_power // power
+    # fits in its key count, and solves for one u0 per key beyond that.
+    branches = {False: 0, True: 0}
+
+    class CountingRegistry(TrajectoryRegistry):
+        def _hits(self, coeff, power, top, size):
+            for lane_power, lane in self._lanes.get(coeff, {}).items():
+                branches[lane_power // power > len(lane)] += 1
+            return super()._hits(coeff, power, top, size)
+
+    registry, registered = CountingRegistry(), set(last_elements(2, [0]))
+    registry.register(walk_modulus(2, [0]))
+    for modulus in _moduli(60, False):
+        registry.register(walk_modulus(modulus, range(modulus - 1, 0, -2)))
+        registered.update(last_elements(modulus, range(modulus - 1, 0, -2)))
+    for modulus in _moduli(120, False):
+        every = range(modulus - 1, 0, -2)
+        ends = last_elements(modulus, every)
+        gate = registry.meeting(walk_modulus(modulus, every))
+        assert [c in gate for c in every] == [t in registered for t in ends], modulus
+        assert [registry.may_meet(t) for t in ends] == [t in registered for t in ends], modulus
+    assert branches[False] and branches[True], branches
+
+
 def registered_in(mode, modulus, data):
     """The remainder lists by which a modulus is registered: every odd one
     at once, some of them, all of them in two parts, or none."""

@@ -81,6 +81,16 @@ def test_filtered_moduli():
         [4, 6, 8, 12, 16, 18, 24, 32])
 
 
+def test_filtered_moduli_are_the_3smooth_even_ones():
+    # _moduli generates the 2^t*3^s; the filter it replaced tested every even number.
+    smooth = [m for m in range(4, 3001, 2) if is_3smooth_even(m)]
+    for max_modulus in range(2, 3001, 2):
+        half = max_modulus // 2
+        for start_after in {0, 1, 2, 3, half, half + 1, max_modulus - 1, max_modulus}:
+            assert list(_moduli(max_modulus, True, start_after)) == [
+                m for m in smooth if start_after < m <= max_modulus], (max_modulus, start_after)
+
+
 def test_is_3smooth_even():
     assert is_3smooth_even(2) and is_3smooth_even(18) and is_3smooth_even(1296)
     assert not is_3smooth_even(1) and not is_3smooth_even(3)
