@@ -260,23 +260,28 @@ def cmd_search(args) -> int:
         if args.checkpoint:
             save_checkpoint(args.checkpoint, _journal_line(state))
 
-    # The CSV is a view of the finished run's records.  It and the journal
-    # are both opened before either is emptied or cut, so that a path that
-    # cannot be written fails before any work and leaves the other file as it was.
-    created = bool(args.out) and not os.path.exists(args.out)
+    # The CSV is a view of the finished run's records.  Both files are opened
+    # for writing and found to be two before either is replayed, cut or
+    # emptied; a start-up that fails removes each file it created.
+    if args.resume and not os.path.exists(args.checkpoint):
+        raise CheckpointError(f"checkpoint {args.checkpoint} does not exist")
+    created = {path for path in (args.out, args.checkpoint) if path and not os.path.exists(path)}
     with open(args.out, "a", newline="") if args.out else contextlib.nullcontext() as out:
-        if args.resume:
-            try:
-                journal, resume_state = _restore(args.checkpoint, config)
-            except BaseException:
-                if created:  # a journal that is not replayed leaves no CSV
-                    os.remove(args.out)
-                raise
-            os.truncate(args.checkpoint, journal.length)  # drop a torn last line
-        elif args.checkpoint:
-            with open(args.checkpoint, "ab") as fh:  # a new journal: the header alone
-                fh.truncate(0)
-                fh.write(_header(config))
+        try:
+            if args.checkpoint:
+                with open(args.checkpoint, "r+b" if args.resume else "ab") as fh:
+                    if out and os.path.samestat(os.fstat(out.fileno()), os.fstat(fh.fileno())):
+                        raise ValueError("--out and --checkpoint name the same file")
+                    if args.resume:
+                        journal, resume_state = _restore(args.checkpoint, config)
+                        fh.truncate(journal.length)  # drop a torn last line
+                    else:  # a new journal: the header alone
+                        fh.truncate(0)
+                        fh.write(_header(config))
+        except BaseException:
+            for path in filter(os.path.exists, created):
+                os.remove(path)
+            raise
         if out is not None:
             out.truncate(0)
         state = run_search(config, after_batch=after_batch, resume=resume_state)

@@ -124,12 +124,13 @@ def pattern_trajectory(cls: PatternClass) -> TrajectoryPattern:
 class ModulusWalk:
     """The first drop index (0 if none) of each class b*k - c of one modulus
     b = 2^t*m, in the remainders' order, and per group r = c mod 2^t the
-    trajectory length and the last element (A, (S - P*c) >> t), A = m*P."""
+    trajectory length, A = m*P, P and the top end D = (S - P*r) >> t: the
+    last element of r + 2^t*u is (A, D - P*u)."""
 
     modulus: int
     remainders: Sequence[int]
     drops: list[int]
-    groups: dict[int, tuple[int, int, int, int]]  # r: length, A, P, S
+    groups: dict[int, tuple[int, int, int, int]]  # r: length, A, P, D
 
 
 def walk_modulus(modulus: int, remainders: Sequence[int]) -> ModulusWalk:
@@ -169,7 +170,7 @@ def walk_modulus(modulus: int, remainders: Sequence[int]) -> ModulusWalk:
                     indices.append(length)
             if length > step_cap:  # c is the first class, in order, of this group
                 raise TrajectoryCapError(AffineForm(modulus, -c), step_cap)
-            groups[r] = length, a, power, total
+            groups[r] = length, a, power, (total - power * r) >> t
             thresholds[r] = bounds, indices + [0]
         bounds, indices = thresholds[r]
         drops.append(indices[bisect_right(bounds, c)])
@@ -251,8 +252,9 @@ class TrajectoryRegistry:
         found.sort(key=lambda hit: (hit[0].modulus, -hit[0].remainder))
         return tuple(found)
 
-    def _hits(self, coeff: int, power: int, top: int, size: int) -> Iterator[range]:
-        """Runs of the u < size whose (coeff, top - power*u) a lane holds."""
+    def _hits(self, coeff: int, power: int, top: int) -> Iterator[range]:
+        """Runs of the u < coeff // power whose (coeff, top - power*u) a lane holds."""
+        size = coeff // power
         for lane_power, lane in self._lanes.get(coeff, {}).items():
             m = coeff // lane_power
             # u = u0 + step*i stays in one lane, at position q - stride*i.
@@ -275,14 +277,14 @@ class TrajectoryRegistry:
         a group registered in part answers as its whole run.  So it is False
         only if no element of a trajectory ending at terminal is registered."""
         coeff, offset = terminal
-        return any(self._hits(coeff, coeff, offset, 1))
+        return any(self._hits(coeff, coeff, offset))
 
     def meeting(self, walk: ModulusWalk) -> set[int]:
         """Holds, of walk's remainders, exactly those that may_meet (by group)."""
         t = v2(walk.modulus)
         found = set()
-        for r, (_, coeff, power, total) in walk.groups.items():
-            for run in self._hits(coeff, power, (total - power * r) >> t, coeff // power):
+        for r, (_, coeff, power, top) in walk.groups.items():
+            for run in self._hits(coeff, power, top):
                 found.update(r + (u << t) for u in run)
         return found
 
@@ -291,12 +293,12 @@ class TrajectoryRegistry:
         b, remainders, t = walk.modulus, walk.remainders, v2(walk.modulus)
         held = self._checked.get(b)
         every = range(b - 1, 0, -2) if b > 2 else range(1)  # the seed is all of modulus 2
-        if (held is None and not b % 2 and len(remainders) == len(every)
-                and list(remainders) == list(every)):
+        if held is None and not b % 2 and remainders == every:  # a whole list: the loop, same end
             bits = bytearray(((1 << (b >> 1)) - 1).to_bytes((b + 15) // 16, "little"))
             entries = (b >> t) * sum(length for length, *_ in walk.groups.values())
         else:
             bits = bytearray((b + 15) // 16) if held is None else bytearray(held)
+            entries = 0
             for c in remainders:
                 if c & 1 != (b > 2) or not 0 <= c < b or b % 2:
                     raise ValueError(f"only the seed and odd remainders register, got "
@@ -304,9 +306,8 @@ class TrajectoryRegistry:
                 if bits[c >> 4] >> (c >> 1 & 7) & 1:
                     raise DuplicateRegistrationError(f"{PatternClass(b, c)} is already registered")
                 bits[c >> 4] |= 1 << (c >> 1 & 7)
-            entries = sum(walk.groups[c & (1 << t) - 1][0] for c in remainders)
-        for r, (_, coeff, power, total) in walk.groups.items():
-            top = (total - power * r) >> t
+                entries += walk.groups[c & (1 << t) - 1][0]
+        for _, coeff, power, top in walk.groups.values():
             lane = self._lanes.setdefault(coeff, {}).setdefault(power, {})
             lane[top % power] = lane.get(top % power, 0) | 1 << (top // power + 1)
         self._checked[b] = bits

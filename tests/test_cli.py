@@ -391,6 +391,68 @@ def test_resume_with_an_unwritable_out_fails_before_the_replay(tmp_path, monkeyp
     assert cp.read_bytes() == kept
 
 
+def test_an_unwritable_journal_leaves_no_new_out_file(tmp_path):
+    assert run_cli("search", "--max-modulus", 16, "--out", tmp_path / "new.csv",
+                   "--checkpoint", tmp_path / "missing" / "j.jsonl") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["new", "resume"])
+@pytest.mark.parametrize("name", ["same-path", "symlink", "hard-link"])
+def test_an_out_file_that_is_the_journal_is_rejected(tmp_path, capsys, name, resume):
+    cp, whole = tmp_path / "j.jsonl", tmp_path / "whole.jsonl"
+    assert run_cli("search", "--max-modulus", 32, "--checkpoint", cp) == 0
+    kept = cp.read_bytes()
+    out = cp if name == "same-path" else tmp_path / "out.csv"
+    if name == "symlink":
+        out.symlink_to(cp)
+    elif name == "hard-link":
+        out.hardlink_to(cp)
+    assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp, *resume,
+                   "--out", out) == 2
+    assert "--out and --checkpoint name the same file" in capsys.readouterr().err
+    assert cp.read_bytes() == kept
+    assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp, "--resume") == 0
+    assert run_cli("search", "--max-modulus", 64, "--checkpoint", whole) == 0
+    assert filecmp.cmp(cp, whole, shallow=False)
+
+
+def test_an_out_file_that_is_a_new_journal_is_rejected_and_removed(tmp_path, capsys):
+    same = tmp_path / "x.jsonl"
+    assert run_cli("search", "--max-modulus", 16, "--out", same, "--checkpoint", same) == 2
+    assert "--out and --checkpoint name the same file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_resume_that_cannot_write_its_journal_fails_before_the_replay(tmp_path, capsys,
+                                                                        monkeypatch):
+    cp, out = tmp_path / "keep.json", tmp_path / "new.csv"
+    assert run_cli("search", "--max-modulus", 64, "--checkpoint", cp) == 0
+    kept = cp.read_bytes()
+
+    def refuse_to_write(path, mode="r", *args, **kwargs):
+        # Tests may run as root, whom a read-only mode bit does not stop.
+        if path == str(cp) and set(mode) & set("wax+"):
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refuse_to_write, raising=False)
+    monkeypatch.setattr(cli, "rebuild_state", lambda *args: pytest.fail("replayed"))
+    assert run_cli("search", "--max-modulus", 80, "--checkpoint", cp, "--resume",
+                   "--out", out) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert cp.read_bytes() == kept
+    assert not out.exists()
+
+
+def test_a_resume_of_a_missing_journal_leaves_no_file(tmp_path, capsys):
+    cp = tmp_path / "nope.jsonl"
+    assert run_cli("search", "--max-modulus", 16, "--checkpoint", cp, "--resume",
+                   "--out", tmp_path / "new.csv") == 2
+    assert f"checkpoint error: checkpoint {cp} does not exist" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("index, value", [(1, "1/3"), (-1, "1/1"), (0, "-1/2")],
                          ids=["decreasing", "not-the-final-density", "negative"])
 def test_report_rejects_an_impossible_density_trail(tmp_path, capsys, index, value):

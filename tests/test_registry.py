@@ -48,10 +48,10 @@ class CheckedRegistry(TrajectoryRegistry):
     def register(self, walk):
         trajectories, t = [], v2(walk.modulus)
         for c in walk.remainders:
-            length, coeff, power, total = walk.groups[c % (1 << t)]
+            length, coeff, power, top = walk.groups[c % (1 << t)]
             traj = pattern_trajectory(PatternClass(walk.modulus, c))
             terminal = traj.elements[-1]
-            assert (length, (coeff, (total - power * c) >> t)) == (
+            assert (length, (coeff, top - power * (c >> t))) == (
                 len(traj.elements), terminal), traj
             # The registry is still as the search's gate saw it.
             assert self.may_meet(terminal) or not any(
@@ -130,6 +130,29 @@ def test_one_batch_per_modulus_registers_like_one_class_batches(half, filter_3sm
     assert all(single.may_meet(t) for t in registered)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 40), st.booleans(), st.lists(forms, max_size=60))
+def test_a_whole_modulus_registers_alike_from_a_range_and_a_list(half, filter_3smooth,
+                                                                 extra_forms):
+    # `register` takes a range of all of a modulus's remainders at once and
+    # a list of the same remainders class by class, to the same registry.
+    by_range, by_list = TrajectoryRegistry(), TrajectoryRegistry()
+    elements = list(extra_forms)
+    for modulus in [2, *_moduli(2 * half, filter_3smooth)]:
+        every = range(1) if modulus == 2 else range(modulus - 1, 0, -2)
+        by_range.register(walk_modulus(modulus, every))
+        by_list.register(walk_modulus(modulus, list(every)))
+        assert (len(by_range), by_range.entry_count(), by_range.digest()) == (
+            len(by_list), by_list.entry_count(), by_list.digest()), modulus
+        elements += [e for c in every for e in build_trajectory(AffineForm(modulus, -c))]
+    ends = {t for modulus in range(2, 2 * half + 40, 2)
+            for t in last_elements(modulus, [0] if modulus == 2 else range(modulus - 1, 0, -2))}
+    probes = sorted({(a, d + j * 3**i) for a, d in ends for i in range(a.bit_length())
+                     if a % 3**i == 0 for j in (-1, 0, 1)})
+    assert [by_range.lookup(f) for f in elements] == [by_list.lookup(f) for f in elements]
+    assert [by_range.may_meet(t) for t in probes] == [by_list.may_meet(t) for t in probes]
+
+
 def test_whole_moduli_answer_exactly_next_to_every_registered_end():
     # A lane holds runs of the positions D // P of last elements (A, D) with
     # one D mod P, P a power of 3 dividing A: probe one and two steps of
@@ -153,10 +176,10 @@ def test_the_lane_scan_takes_both_branches():
     branches = {False: 0, True: 0}
 
     class CountingRegistry(TrajectoryRegistry):
-        def _hits(self, coeff, power, top, size):
+        def _hits(self, coeff, power, top):
             for lane_power, lane in self._lanes.get(coeff, {}).items():
                 branches[lane_power // power > len(lane)] += 1
-            return super()._hits(coeff, power, top, size)
+            return super()._hits(coeff, power, top)
 
     registry, registered = CountingRegistry(), set(last_elements(2, [0]))
     registry.register(walk_modulus(2, [0]))

@@ -161,10 +161,10 @@ def test_walk_matches_the_trajectory(batch):
     t = v2(b)
     groups = [walk.groups[c % (1 << t)] for c in remainders]  # by residue mod 2^t
     longest = max(length for length, *_ in groups)
-    for c, (length, coeff, power, total), drop in zip(remainders, groups, walk.drops,
+    for c, (length, coeff, power, top), drop in zip(remainders, groups, walk.drops,
                                                      strict=True):
         elements = build_trajectory(AffineForm(b, -c))
-        assert (length, (coeff, (total - power * c) >> t)) == (len(elements), elements[-1]), c
+        assert (length, (coeff, top - power * (c >> t))) == (len(elements), elements[-1]), c
         drops = [i for i, e in enumerate(elements, start=1)
                  if strictly_below(e, elements[0], 2)]
         assert drop == (drops[0] if drops else 0), c
